@@ -402,7 +402,11 @@ class ClusterEngine:
         for w in active:
             name = f"{self.addrs[w][0]}:{self.addrs[w][1]}"
             body = self._expect_result(self._conns[w], name, stage.name)
-            partials.append(stage.decode_result(body, ds.schema, params))
+            try:
+                partials.append(stage.decode_result(body, ds.schema, params))
+            except (struct.error, ValueError) as exc:
+                self.close()
+                raise ClusterError(f"worker {name}: malformed {stage.name!r} result: {exc}") from exc
         return functools.reduce(stage.comb, partials)
 
     def count(self, ds: PartitionedDataset) -> int:

@@ -85,13 +85,13 @@ def _parse_numeric_column(col: np.ndarray, path: str, name: str):
                 float(cell)
             except ValueError:
                 raise IngestError(
-                    f"{path}:{i + 2}: cannot parse {cell!r} in numeric column {name!r}"
+                    f"{path}:{i + 2}: cannot parse {str(cell)!r} in numeric column {name!r}"
                 ) from None
         raise
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise IngestError(
-            f"{path}:{int(bad[0]) + 2}: non-finite value {col[bad[0]]!r} in numeric column {name!r}"
+            f"{path}:{int(bad[0]) + 2}: non-finite value {str(col[bad[0]])!r} in numeric column {name!r}"
         )
     return out
 
@@ -106,7 +106,10 @@ def _column_is_numeric(col: np.ndarray) -> bool:
 
 def _load_sidecar(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise IngestError(f"{path}: sidecar is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise IngestError(f"{path}: sidecar must be a JSON object")
     return doc

@@ -154,6 +154,14 @@ class InstanceBlock:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2 or len(ids) != len(labels) or len(ids) != values.shape[0]:
             raise ModelError("inconsistent block shapes")
+        # a NaN or inf would poison the feature ranges and the total
+        # (distance, id) order of the neighbour search
+        finite = np.isfinite(values)
+        if not finite.all():
+            row, col = (int(x) for x in np.argwhere(~finite)[0])
+            raise ModelError(
+                f"non-finite value {values[row, col]!r} in instance {int(ids[row])}, feature {col}"
+            )
         for arr in (ids, labels, values):
             arr.flags.writeable = False
         self.ids = ids
@@ -329,28 +337,40 @@ def feature_diffs(
     numeric_mask: np.ndarray,
     ranges: FeatureRange,
     cfg: DiffConfig,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-feature differences in [0, 1] between rows and a reference row.
+    """Per-feature differences in [0, 1] between rows and reference rows.
 
-    `values` is (p, a) or (a,); `ref` is (a,).  Nominal slots compare
-    category ids for equality; numeric slots are range-normalized and
-    optionally passed through the ramp.  This is the single authoritative
-    implementation: scalar `diff`, `distance`, the partition-parallel
-    neighbor search, and the sequential oracle all evaluate exactly these
-    operations, which keeps their results bit-for-bit comparable.
+    `values` and `ref` broadcast against each other over their leading axes
+    with features last: (p, a) or (a,) against (a,) gives (p, a), and a
+    (rows, 1, a) block against a (g, a) sample block gives (rows, g, a).
+    Nominal slots compare category ids for equality; numeric slots are
+    range-normalized and optionally passed through the ramp.  This is the
+    single authoritative implementation: scalar `diff`, `distance`, the
+    partition-parallel neighbor search, and the sequential oracle all
+    evaluate exactly these operations, which keeps their results
+    bit-for-bit comparable.  `out`, if given, is a float64 array of the
+    broadcast shape that receives the result.
     """
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    out = np.empty_like(values)
-    num = numeric_mask
-    nom = ~numeric_mask
-    if num.any():
-        d = np.abs(values[:, num] - ref[num]) / ranges.safe_width[num]
-        if cfg.numeric_mode is DiffMode.RAMP:
-            scale = cfg.t_diff - cfg.t_eq
-            d = np.where(d <= cfg.t_eq, 0.0, np.where(d > cfg.t_diff, 1.0, (d - cfg.t_eq) / scale))
-        out[:, num] = d
-    if nom.any():
-        out[:, nom] = (values[:, nom] != ref[nom]).astype(np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[None]
+    ref = np.asarray(ref, dtype=np.float64)
+    # every slot gets |x - y| / safe_width; nominal slots divide by +inf to 0
+    # and are overwritten below, so numeric columns need no gather
+    out = np.subtract(values, ref, out=out)
+    np.abs(out, out=out)
+    out /= ranges.safe_width
+    if cfg.numeric_mode is DiffMode.RAMP:
+        # (d - t_eq) / (t_diff - t_eq) is <= 0 exactly when d <= t_eq and
+        # >= 1 exactly when d > t_diff (rounding is monotonic), so the clip
+        # gives the same bits as the three-way branch in `diff`
+        out -= cfg.t_eq
+        out /= cfg.t_diff - cfg.t_eq
+        np.clip(out, 0.0, 1.0, out=out)
+    if not numeric_mask.all():
+        nom = ~numeric_mask
+        out[..., nom] = values[..., nom] != ref[..., nom]
     return out
 
 

@@ -7,7 +7,13 @@ order, yields the same k survivors.
 
 `NeighborMatrix` is the accumulator for the neighbour stage: one bounded
 heap per (class, sample) cell, filled from instance blocks and merged
-across partitions.
+across partitions.  A block is filled tile by tile: a tile holds the
+distances from a run of the block's rows to a group of samples, and
+`feature_diffs` fills it one kernel chunk of rows at a time.  For each class
+one `np.partition` along the tile's rows finds every sample's k-th
+distance; only the rows at or below it are sorted and offered to the heaps.
+`TILE_ELEMS` and `CHUNK_ELEMS` cap the tile and the chunk, so the scratch
+does not grow with the sample count times the partition size.
 """
 
 from __future__ import annotations
@@ -29,6 +35,14 @@ __all__ = [
 _ENTRY_HEAD = struct.Struct("!dqi")  # distance, neighbour id, class id
 _CELL_HEAD = struct.Struct("!i")
 _MATRIX_HEAD = struct.Struct("!iiii")  # classes, samples, k, features
+
+# Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
+# (rows, samples) distance tile (512 KiB) and one (rows, samples, features)
+# diff-kernel chunk (1 MiB).  Each kernel chunk costs a few GIL round trips,
+# so threads running partitions in parallel scale better with larger chunks;
+# a larger scratch raises a worker's peak RSS.
+TILE_ELEMS = 1 << 16
+CHUNK_ELEMS = 1 << 17
 
 
 def pack_instance_fields(iid: int, label: int, values: np.ndarray) -> bytes:
@@ -133,18 +147,69 @@ class NeighborMatrix:
         ranges: FeatureRange,
         cfg: DiffConfig,
     ) -> None:
+        """Offer every row of `block` to every cell, keeping at most k per cell.
+
+        Distances fill a (rows, samples) tile for a run of the block's rows
+        and a group of samples: `feature_diffs` on (rows, 1, a) kernel
+        chunks against the (g, a) sample group, summed over the feature
+        axis.  A sample's own row gets distance +inf, which excludes it by
+        id.  Per class, one `np.partition` along the rows finds each
+        sample's k-th distance; every row at or below it is a candidate, so
+        ties at the k-th distance survive, and the candidates are sorted by
+        (sample, distance, id).  The first k of each sample go to the heap.
+        """
+        p, m, a = len(block), self.num_samples, block.values.shape[1]
+        if p == 0 or m == 0:
+            return
         ids, labels, values = block.ids, block.labels, block.values
-        for s_idx, sid in enumerate(self.sample_ids):
-            diffs = feature_diffs(values, sample_values[s_idx], numeric_mask, ranges, cfg)
-            dists = np.sum(diffs, axis=-1)
-            for label in range(self.num_classes):
-                sel = np.flatnonzero((labels == label) & (ids != sid))
-                if sel.size == 0:
-                    continue
-                order = np.lexsort((ids[sel], dists[sel]))
-                heap = self.grid[label][s_idx]
-                for j in sel[order[: self.k]]:
-                    heap.offer(float(dists[j]), int(ids[j]), label, values[j])
+        class_rows = [np.flatnonzero(labels == label) for label in range(self.num_classes)]
+        # row of each sample's own instance in the block; -1 if absent
+        sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
+        by_id = np.argsort(ids)
+        found = by_id[np.searchsorted(ids, sample_ids, sorter=by_id).clip(max=p - 1)]
+        self_row = np.where(ids[found] == sample_ids, found, -1)
+
+        g = min(m, max(1, TILE_ELEMS // p), max(1, CHUNK_ELEMS // a))
+        rows = min(p, TILE_ELEMS // g)
+        chunk = max(1, CHUNK_ELEMS // (g * a))
+        tile, kernel = np.empty(rows * g), np.empty(chunk * g * a)
+        for s0 in range(0, m, g):
+            group = sample_values[s0 : s0 + g]
+            width = len(group)
+            own = self_row[s0 : s0 + g]
+            for r0 in range(0, p, rows):
+                r1 = min(r0 + rows, p)
+                dist = tile[: (r1 - r0) * width].reshape(r1 - r0, width)
+                for c0 in range(r0, r1, chunk):
+                    c1 = min(c0 + chunk, r1)
+                    out = kernel[: (c1 - c0) * width * a].reshape(c1 - c0, width, a)
+                    diffs = feature_diffs(values[c0:c1, None, :], group, numeric_mask, ranges, cfg, out)
+                    diffs.sum(axis=-1, out=dist[c0 - r0 : c1 - r0])
+                inside = np.flatnonzero((own >= r0) & (own < r1))
+                dist[own[inside] - r0, inside] = np.inf
+                for label, members in enumerate(class_rows):
+                    sel = members[np.searchsorted(members, r0) : np.searchsorted(members, r1)]
+                    if sel.size:
+                        self._offer_nearest(label, s0, dist[sel - r0], sel, block)
+
+    def _offer_nearest(self, label, s0, dist, sel, block) -> None:
+        """Offer each sample's k nearest rows among `sel`, the class-`label`
+        rows of `block`; row i of `dist` holds row `sel[i]`'s distances to
+        the samples from `s0` on."""
+        k = self.k
+        keep = dist < np.inf
+        if len(sel) > k:
+            keep &= dist <= np.partition(dist, k - 1, axis=0)[k - 1]
+        at, s_idx = np.nonzero(keep)
+        d = dist[at, s_idx]
+        rows = sel[at]
+        cand = block.ids[rows]
+        by_key = np.lexsort((cand, d, s_idx))
+        s_sorted = s_idx[by_key]
+        top = by_key[np.arange(len(by_key)) - np.searchsorted(s_sorted, s_sorted) < k]
+        heaps = self.grid[label]
+        for s, dd, iid, j in zip(s_idx[top].tolist(), d[top].tolist(), cand[top].tolist(), rows[top].tolist()):
+            heaps[s0 + s].offer(dd, iid, label, block.values[j])
 
     def merge(self, other: "NeighborMatrix") -> "NeighborMatrix":
         for c in range(self.num_classes):
@@ -188,4 +253,6 @@ class NeighborMatrix:
                     )
                     at += 8 * a
                     heap.offer(dist, iid, label, vals)
+        if at != len(buf):
+            raise ValueError(f"{len(buf) - at} trailing bytes after encoded neighbour matrix")
         return out

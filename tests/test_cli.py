@@ -192,6 +192,37 @@ class TestGenCommand:
         assert sum(len(ds.partition(i)) for i in range(ds.num_partitions)) == 50
 
 
+class TestBadInput:
+    def test_nan_cell_in_numeric_column(self, tmp_path, capsys):
+        csv_path, side = tmp_path / "d.csv", tmp_path / "d.schema.json"
+        assert main(
+            ["gen", "--n", "50", "--informative", "1", "--noise", "1",
+             "--output", str(csv_path), "--sidecar", str(side)]
+        ) == 0
+        lines = csv_path.read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        csv_path.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["rank", "--input", str(csv_path), "--schema", str(side), "--m", "5",
+             "--k", "3", "--output", str(tmp_path / "w.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ":4: non-finite value 'nan'" in err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_malformed_schema_sidecar(self, data_csv, tmp_path, capsys):
+        side = tmp_path / "bad.schema.json"
+        side.write_text('{"columns": [')
+        code = main(
+            ["rank", "--input", data_csv, "--schema", str(side),
+             "--output", str(tmp_path / "w.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sidecar is not valid JSON" in err
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

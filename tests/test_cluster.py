@@ -18,9 +18,9 @@ from direlieff.cluster import (
     unpack_block,
 )
 from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset
-from direlieff.model import DiffConfig, DiffMode, RankConfig
-from direlieff.pipeline import compute_priors, compute_ranges, rank
-from direlieff.stages import COUNT, PRIORS, RANGES
+from direlieff.model import DiffConfig, DiffMode, InstanceBlock, RankConfig
+from direlieff.pipeline import compute_priors, compute_ranges, rank, select_samples
+from direlieff.stages import COUNT, NEIGHBORS, PRIORS, RANGES, NeighborParams
 
 from _support import random_mixed_block, reap, spawn_worker
 
@@ -188,6 +188,30 @@ class TestClusterRuns:
             (code,) = reap([proc])
         # the driver aborts the run; the worker notices the drop and exits 1
         assert code == 1
+
+    @pytest.mark.parametrize("mangle", [lambda b: b[:10], lambda b: b[:-1], lambda b: b + b"\x00"])
+    def test_malformed_result_names_worker(self, mixed_dataset, mangle):
+        class Mangled:
+            """The neighbour stage as the worker runs it; its result bytes
+            are damaged on arrival at the driver."""
+
+            def __getattr__(self, attr):
+                return getattr(NEIGHBORS, attr)
+
+            def decode_result(self, buf, schema, params):
+                return NEIGHBORS.decode_result(mangle(buf), schema, params)
+
+        proc, addr = spawn_worker()
+        try:
+            with ClusterEngine([addr]) as eng:
+                ranges = compute_ranges(mixed_dataset, eng)
+                samples = InstanceBlock.from_instances(select_samples(mixed_dataset, eng, 4, 1))
+                params = NeighborParams.build(mixed_dataset.schema, samples, 3, ranges, DiffConfig())
+                with pytest.raises(ClusterError, match=f"worker {addr[0]}:{addr[1]}: malformed"):
+                    eng.run_stage(mixed_dataset, Mangled(), params)
+        finally:
+            (code,) = reap([proc])
+        assert code == 1  # the driver dropped the connection
 
     def test_connect_refused(self):
         eng = ClusterEngine([("127.0.0.1", 1)], timeout=2.0)

@@ -23,6 +23,7 @@ from direlieff.model import (
     feature_diffs,
     rank_features,
 )
+from direlieff.synth import SynthSpec, make_block
 
 
 def make_schema(kinds, classes=("a", "b")):
@@ -96,6 +97,21 @@ class TestInstanceBlock:
     def test_shape_mismatch(self):
         with pytest.raises(ModelError):
             InstanceBlock(np.array([0, 1]), np.array([0]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ModelError, match="non-finite .* instance 8, feature 1"):
+            InstanceBlock(np.array([7, 8]), np.array([0, 1]), values)
+
+    def test_nan_in_unsampled_row_fails_before_ranking(self):
+        # a NaN here once made feature 1's range NaN, and rank() scored the
+        # feature 0.0 instead of failing
+        _, block = make_block(SynthSpec(n=20000, informative=2, noise=3, seed=1))
+        values = block.values.copy()
+        values[5, 1] = np.nan
+        with pytest.raises(ModelError, match="instance 5, feature 1"):
+            InstanceBlock(block.ids, block.labels, values)
 
 
 class TestFeatureRange:
@@ -266,6 +282,49 @@ class TestDiff:
             for feature in range(a):
                 scalar = diff(feature, inst, ref_inst, ranges, cfg, mask)
                 assert scalar == block[r, feature]  # bit-exact by construction
+
+
+class TestFeatureDiffsBroadcast:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sample_block_matches_per_sample_calls(self, data):
+        a = data.draw(st.integers(1, 12))
+        rows = data.draw(st.integers(1, 6))
+        g = data.draw(st.integers(1, 4))
+        elems = st.floats(-50, 50, allow_nan=False)
+        mat = np.array([[data.draw(elems) for _ in range(a)] for _ in range(rows)])
+        samples = np.array([[data.draw(elems) for _ in range(a)] for _ in range(g)])
+        mask = np.array([data.draw(st.booleans()) for _ in range(a)])
+        mat[:, ~mask] = np.round(mat[:, ~mask])
+        samples[:, ~mask] = np.round(samples[:, ~mask])
+        both = np.concatenate([mat, samples])
+        ranges = FeatureRange(both.min(axis=0), both.max(axis=0), mask)
+        cfg = DiffConfig(
+            numeric_mode=data.draw(st.sampled_from([DiffMode.LINEAR, DiffMode.RAMP]))
+        )
+        tile = feature_diffs(mat[:, None, :], samples, mask, ranges, cfg)
+        assert tile.shape == (rows, g, a)
+        out = np.empty((rows, g, a))
+        assert feature_diffs(mat[:, None, :], samples, mask, ranges, cfg, out) is out
+        for j in range(g):
+            one = feature_diffs(mat, samples[j], mask, ranges, cfg)
+            assert np.array_equal(tile[:, j].view(np.uint64), one.view(np.uint64))
+            assert np.array_equal(out[:, j].view(np.uint64), one.view(np.uint64))
+            # the neighbour pass sums the tile; the oracle sums per sample
+            assert np.array_equal(tile.sum(axis=-1)[:, j], one.sum(axis=-1))
+
+    def test_ramp_boundaries_match_scalar_diff(self):
+        cfg = DiffConfig(DiffMode.RAMP, t_eq=0.05, t_diff=0.1)
+        mask = np.array([True])
+        ranges = FeatureRange(np.array([0.0]), np.array([1.0]), mask)
+        points = [0.0, 0.05, 0.1, 1.0]
+        points += [np.nextafter(p, d) for p in (0.05, 0.1) for d in (0.0, 1.0)]
+        origin = Instance(id=0, label=0, values=np.array([0.0]))
+        got = feature_diffs(np.array(points)[:, None], np.array([0.0]), mask, ranges, cfg)[:, 0]
+        for x, d in zip(points, got):
+            want = diff(0, Instance(id=1, label=0, values=np.array([x])), origin, ranges, cfg, mask)
+            assert d == want and np.signbit(d) == np.signbit(want)
+        assert got[1] == 0.0 and got[2] == 1.0
 
 
 class TestWeightVector:

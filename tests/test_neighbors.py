@@ -1,11 +1,14 @@
 """Bounded neighbour heaps: selection order, merging, and wire format."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from direlieff.model import DiffConfig, FeatureRange, InstanceBlock
+from direlieff import neighbors
+from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock, feature_diffs
 from direlieff.neighbors import NeighborHeap, NeighborMatrix
 
 
@@ -169,3 +172,121 @@ class TestNeighborMatrix:
         buf = nn.encode(2)
         with pytest.raises(ValueError):
             NeighborMatrix.decode(buf, sample_block.ids[:-1])
+
+
+def grid_entries(nn):
+    return [
+        [[(d, i, l, v.tobytes()) for d, i, l, v in heap.sorted_entries()] for heap in row]
+        for row in nn.grid
+    ]
+
+
+def brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k):
+    """Per (class, sample): the k smallest (distance, id) rows by full sort."""
+    out = []
+    for label in range(num_classes):
+        row = []
+        for sid, sval in zip(sample_ids, sample_values):
+            dists = np.sum(feature_diffs(block.values, sval, mask, ranges, cfg), axis=-1)
+            sel = np.flatnonzero((block.labels == label) & (block.ids != sid))
+            best = sel[np.lexsort((block.ids[sel], dists[sel]))[:k]]
+            row.append(
+                [(float(dists[j]), int(block.ids[j]), label, block.values[j].tobytes()) for j in best]
+            )
+        out.append(row)
+    return out
+
+
+@st.composite
+def neighbor_inputs(draw):
+    """Small blocks built to stress the selection: few distinct values (many
+    ties at the k-th distance), nominal columns, classes with fewer than k
+    members or none, and samples both inside and outside the block."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 60))
+    a = draw(st.integers(1, 5))
+    num_classes = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    levels = draw(st.integers(2, 3))
+    mask = rng.random(a) < 0.6
+    values = rng.integers(0, levels, size=(n, a)).astype(np.float64)
+    values[:, mask] *= rng.uniform(0.5, 2.0)
+    # labels drawn from a subset of the classes, so some classes are empty
+    present = rng.choice(num_classes, size=int(rng.integers(1, num_classes + 1)), replace=False)
+    labels = rng.choice(present, size=n).astype(np.int32)
+    ids = rng.permutation(3 * n)[:n] + 100
+    block = InstanceBlock(ids, labels, values)
+
+    m = draw(st.integers(1, 12))
+    inside = rng.choice(n, size=min(m, n), replace=False)[: int(rng.integers(0, min(m, n) + 1))]
+    outside_ids = np.setdiff1d(np.arange(100 + 4 * n), ids)
+    extra = rng.choice(outside_ids, size=m - len(inside), replace=False)
+    sample_ids = np.concatenate([ids[inside], extra])
+    extra_values = rng.integers(0, levels, size=(len(extra), a)).astype(np.float64)
+    extra_values[:, mask] *= rng.uniform(0.5, 2.0)
+    sample_values = np.concatenate([values[inside], extra_values])
+    all_values = np.concatenate([values, sample_values])
+    ranges = FeatureRange(all_values.min(axis=0), all_values.max(axis=0), mask)
+    ramp = draw(st.booleans())
+    cfg = DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6) if ramp else DiffConfig()
+    return block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k
+
+
+class TestOfferBlockSelection:
+    @given(inputs=neighbor_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_block_path_equals_instance_path_bit_for_bit(self, inputs):
+        block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k = inputs
+        via_block = NeighborMatrix(num_classes, sample_ids, k)
+        via_block.offer_block(block, sample_values, mask, ranges, cfg)
+        one_by_one = NeighborMatrix(num_classes, sample_ids, k)
+        for inst in block:
+            one_by_one.offer_instance(
+                inst.id, inst.label, inst.values, sample_values, mask, ranges, cfg
+            )
+        assert grid_entries(via_block) == grid_entries(one_by_one)
+
+    @pytest.mark.parametrize(
+        "rows_per_tile, m, a",
+        [
+            # one sample per tile; the rows span two tiles, the last partial
+            (neighbors.TILE_ELEMS * 5 // 4, 2, 2),
+            # whole block in one tile; several sample groups, the last partial
+            (neighbors.TILE_ELEMS // 16, 37, 3),
+        ],
+    )
+    def test_multi_tile_block_matches_full_sort(self, rows_per_tile, m, a):
+        rng = np.random.default_rng(rows_per_tile + m)
+        n = rows_per_tile
+        values = rng.integers(0, 4, size=(n, a)).astype(np.float64)  # heavy ties
+        mask = np.array([True] * (a - 1) + [False])
+        block = InstanceBlock(np.arange(n, dtype=np.int64) * 2, rng.integers(0, 3, size=n), values)
+        pick = rng.choice(n, size=m, replace=False)
+        sample_ids = np.concatenate([block.ids[pick[1:]], [2 * n + 1]])  # one outside
+        sample_values = values[pick]
+        ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+        cfg = DiffConfig()
+        g = min(m, max(1, neighbors.TILE_ELEMS // n), max(1, neighbors.CHUNK_ELEMS // a))
+        chunk = max(1, neighbors.CHUNK_ELEMS // (g * a))
+        # the case exercises several sample groups or row tiles, and chunks
+        assert m > g or n > neighbors.TILE_ELEMS
+        assert n > chunk
+        nn = NeighborMatrix(3, sample_ids, 5)
+        nn.offer_block(block, sample_values, mask, ranges, cfg)
+        want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, 3, 5)
+        assert grid_entries(nn) == want
+
+
+class TestMatrixDecode:
+    def test_truncated_and_extended_buffers_rejected(self):
+        block, sample_block, mask, ranges = toy_matrix_inputs(n=20, a=2, c=2, m=3, seed=1)
+        nn = NeighborMatrix(2, sample_block.ids, 3)
+        nn.offer_block(block, sample_block.values, mask, ranges, DiffConfig())
+        buf = nn.encode(2)
+        assert grid_entries(NeighborMatrix.decode(buf, sample_block.ids)) == grid_entries(nn)
+        for cut in range(len(buf)):
+            with pytest.raises((struct.error, ValueError)):
+                NeighborMatrix.decode(buf[:cut], sample_block.ids)
+        with pytest.raises(ValueError, match="trailing"):
+            NeighborMatrix.decode(buf + b"\x00", sample_block.ids)
