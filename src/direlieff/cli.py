@@ -118,10 +118,7 @@ def _rank_config(args) -> RankConfig:
 
 def _load_dataset(args):
     src = DatasetSource(path=args.input, format=args.format, schema_sidecar=args.schema)
-    ds = load(src, partitions=args.partitions)
-    if getattr(args, "cache", False):
-        ds.cache()
-    return ds
+    return load(src, partitions=args.partitions)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p_rank)
     _add_rank_flags(p_rank)
     p_rank.add_argument("--workers", type=_positive_int, default=None)
-    p_rank.add_argument("--cache", action="store_true", help="retain derived blocks")
     p_rank.add_argument("--backend", choices=("local", "cluster"), default="local")
     p_rank.add_argument("--cluster-workers", type=_addr_list, default=None,
                         help="comma-separated host:port list")
@@ -233,7 +229,7 @@ def _cmd_compare(args) -> int:
     engine = LocalEngine()
     result = rank(ds, config, engine)
     oracle = relieff_sequential(
-        ds.collect(),
+        ds.repartitioned(1).partition(0),
         result.samples,
         config.k,
         config.diff,

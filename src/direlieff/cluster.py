@@ -7,25 +7,28 @@ stages (RUN_STAGE / STAGE_RESULT).  Stage code is never transmitted: both
 sides resolve stage names in the shared registry.
 
 Frame layout: 4-byte big-endian payload length, 1-byte type tag, payload.
-Instances travel as fixed-width rows: id (8 bytes), class id (4 bytes),
-one 8-byte IEEE-754 value per feature, all big-endian.  Error policy is
-fail-fast: any worker failure aborts the whole run.
+Partitions travel in the fixed-width row format of `stages.pack_block`.
+Each side folds partition results in partition order as they finish.
+Error policy is fail-fast: any worker failure aborts the whole run.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import socket
 import struct
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from .engine import DEFAULT_MAX_RESULT_BYTES, EngineConfig, EngineError, PartitionedDataset, split_sizes
-from .model import InstanceBlock, Schema
-from .stages import STAGES
+from .engine import (
+    DEFAULT_MAX_RESULT_BYTES,
+    EngineConfig,
+    EngineError,
+    PartitionedDataset,
+    fold_in_order,
+    split_sizes,
+)
+from .model import Schema
+from .stages import STAGES, pack_block, unpack_block
 
 __all__ = [
     "MSG_REGISTER",
@@ -109,32 +112,6 @@ def _send(conn: socket.socket, tag: int, payload: bytes = b"") -> None:
     conn.sendall(encode_frame(tag, payload))
 
 
-# -- instance block wire format ----------------------------------------------
-
-
-def _row_dtype(num_features: int) -> np.dtype:
-    return np.dtype([("id", ">i8"), ("label", ">i4"), ("values", ">f8", (num_features,))])
-
-
-def pack_block(block: InstanceBlock, num_features: int) -> bytes:
-    rows = np.empty(len(block), dtype=_row_dtype(num_features))
-    rows["id"] = block.ids
-    rows["label"] = block.labels
-    rows["values"] = block.values
-    return rows.tobytes()
-
-
-def unpack_block(buf: bytes, offset: int, nrows: int, num_features: int):
-    dt = _row_dtype(num_features)
-    rows = np.frombuffer(buf, dtype=dt, count=nrows, offset=offset)
-    block = InstanceBlock(
-        rows["id"].astype(np.int64),
-        rows["label"].astype(np.int32),
-        rows["values"].astype(np.float64),
-    )
-    return block, offset + nrows * dt.itemsize
-
-
 def _pack_named(name: str, body: bytes) -> bytes:
     raw = name.encode("utf-8")
     return struct.pack("!i", len(raw)) + raw + body
@@ -192,15 +169,10 @@ def _worker_run_stage(state: _WorkerState, payload: bytes, threads: int) -> byte
         gidx, block = item
         return stage.run_block(stage.make_zero(schema, params), block, params, schema, gidx)
 
-    if threads > 1 and len(state.assigned) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(job, state.assigned))
+    if state.assigned:
+        result = fold_in_order(job, state.assigned, threads, stage.comb)
     else:
-        partials = [job(item) for item in state.assigned]
-    if not partials:
         result = stage.make_zero(schema, params)
-    else:
-        result = functools.reduce(stage.comb, partials)
     out = stage.encode_result(result, schema)
     if len(out) > state.max_result_bytes:
         raise ClusterError(
@@ -347,10 +319,9 @@ class ClusterEngine:
         self.connect()
         nparts = ds.num_partitions
         sizes = split_sizes(nparts, len(self.addrs))
-        a = ds.schema.num_features
         schema_json = json.dumps(ds.schema.to_dict()).encode("utf-8")
         self._assignment = []
-        self._lens = [ds.partition_len(i) for i in range(nparts)]
+        self._lens = [len(ds.partition(i)) for i in range(nparts)]
         at = 0
         for w, (conn, addr) in enumerate(zip(self._conns, self.addrs)):
             mine = list(range(at, at + sizes[w]))
@@ -364,10 +335,8 @@ class ClusterEngine:
             ]
             for gidx in mine:
                 block = ds.partition(gidx)
-                if not isinstance(block, InstanceBlock):
-                    block = InstanceBlock.from_instances(block)
                 parts.append(struct.pack("!ii", gidx, len(block)))
-                parts.append(pack_block(block, a))
+                parts.append(pack_block(block))
             _send(conn, MSG_ASSIGN_PARTITIONS, b"".join(parts))
         for w, (conn, addr) in enumerate(zip(self._conns, self.addrs)):
             name = f"{addr[0]}:{addr[1]}"
@@ -398,18 +367,14 @@ class ClusterEngine:
                 name = f"{self.addrs[w][0]}:{self.addrs[w][1]}"
                 self.close()
                 raise ClusterError(f"worker {name}: send failed: {exc}") from exc
-        partials = []
+        result = None
         for w in active:
             name = f"{self.addrs[w][0]}:{self.addrs[w][1]}"
             body = self._expect_result(self._conns[w], name, stage.name)
             try:
-                partials.append(stage.decode_result(body, ds.schema, params))
+                partial = stage.decode_result(body, ds.schema, params)
             except (struct.error, ValueError) as exc:
                 self.close()
                 raise ClusterError(f"worker {name}: malformed {stage.name!r} result: {exc}") from exc
-        return functools.reduce(stage.comb, partials)
-
-    def count(self, ds: PartitionedDataset) -> int:
-        from .stages import COUNT
-
-        return self.run_stage(ds, COUNT, None)
+            result = partial if result is None else stage.comb(result, partial)
+        return result

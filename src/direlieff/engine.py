@@ -1,24 +1,21 @@
-"""A minimal partitioned-collection engine.
+"""A minimal partitioned engine for `InstanceBlock` datasets.
 
-Datasets are read-only ordered lists of partitions.  Five operation shapes
-are provided: `map` (lazy, structure-preserving), `reduce`, `aggregate`,
-`take_sample`, and `count`.  Partitions are processed by a fixed pool of
-worker threads; per-partition results are always combined on the driver in
-partition order, so any commutative/associative combiner yields a result
-independent of how work was scheduled.
-
-Derived (mapped) datasets recompute from their source on every pass unless
-`materialized` is switched on, in which case computed blocks are retained.
+A dataset is a schema plus an ordered list of `InstanceBlock` partitions.
+The engine has one action, `run_stage`: a named stage folds each partition
+from a fresh zero, and the partials are combined on the driver in partition
+order, so a commutative and associative combiner yields a result
+independent of how the work was scheduled.  Partitions are processed by a
+fixed pool of worker threads.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
-import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+from .model import InstanceBlock
 
 __all__ = [
     "EngineConfig",
@@ -29,6 +26,7 @@ __all__ = [
     "LocalEngine",
     "split_sizes",
     "draw_sample_positions",
+    "fold_in_order",
 ]
 
 DEFAULT_MAX_RESULT_BYTES = 6 * 2**30
@@ -86,187 +84,75 @@ def draw_sample_positions(n: int, m: int, seed: int) -> list[int]:
     return out
 
 
-class PartitionedDataset:
-    """Read-only collection of elements split into ordered partitions.
+def fold_in_order(job, items, threads: int, comb):
+    """`comb`-fold of `job(item)` over `items`, left to right.
 
-    Either holds concrete blocks, or is derived from a source dataset by an
-    element function applied lazily per partition.
+    With more than one thread the jobs run on a pool; each result is folded
+    in as soon as it and every earlier one are done, so at most the
+    finished-but-unfolded results are held, not all of them.
     """
+    if threads == 1 or len(items) <= 1:
+        return functools.reduce(comb, map(job, items))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return functools.reduce(comb, pool.map(job, items))
 
-    def __init__(self, blocks=None, *, source=None, fn=None, schema=None, materialized=False):
-        if (blocks is None) == (source is None):
-            raise ValueError("exactly one of blocks/source required")
-        if blocks is not None:
-            blocks = list(blocks)
-            if len(blocks) < 1:
-                raise ValueError("need at least one partition")
+
+class PartitionedDataset:
+    """Read-only dataset: a schema and ordered `InstanceBlock` partitions."""
+
+    def __init__(self, blocks, schema=None):
+        blocks = list(blocks)
+        if len(blocks) < 1:
+            raise ValueError("need at least one partition")
+        width = schema.num_features if schema is not None else None
+        for i, block in enumerate(blocks):
+            if not isinstance(block, InstanceBlock):
+                raise EngineError(f"partition {i} is a {type(block).__name__}, not an InstanceBlock")
+            width = block.values.shape[1] if width is None else width
+            if block.values.shape[1] != width:
+                raise EngineError(
+                    f"partition {i} has {block.values.shape[1]} features, expected {width}"
+                )
         self._blocks = blocks
-        self._source = source
-        self._fn = fn
-        self._cache: dict[int, list] = {}
         self.schema = schema
-        self.materialized = materialized
 
     @classmethod
     def from_blocks(cls, blocks, schema=None) -> "PartitionedDataset":
-        return cls(blocks=blocks, schema=schema)
+        return cls(blocks, schema)
 
     @classmethod
-    def from_elements(cls, elements, partitions: int = 1, schema=None) -> "PartitionedDataset":
-        elements = list(elements)
-        sizes = split_sizes(len(elements), partitions)
+    def split(cls, block: InstanceBlock, parts: int, schema=None) -> "PartitionedDataset":
+        """`block` cut into `parts` contiguous near-equal partitions."""
         blocks, at = [], 0
-        for s in sizes:
-            blocks.append(elements[at : at + s])
-            at += s
-        return cls(blocks=blocks, schema=schema)
+        for size in split_sizes(len(block), parts):
+            blocks.append(block.slice(at, at + size))
+            at += size
+        return cls(blocks, schema)
 
     @property
     def num_partitions(self) -> int:
-        if self._blocks is not None:
-            return len(self._blocks)
-        return self._source.num_partitions
+        return len(self._blocks)
 
-    def partition_len(self, i: int) -> int:
-        # map preserves structure, so lengths come from the base chain
-        # without forcing any derived computation.
-        if self._blocks is not None:
-            return len(self._blocks[i])
-        return self._source.partition_len(i)
-
-    def partition(self, i: int):
-        if self._blocks is not None:
-            return self._blocks[i]
-        if i in self._cache:
-            return self._cache[i]
-        block = [self._fn(x) for x in self._source.partition(i)]
-        if self.materialized:
-            self._cache[i] = block
-        return block
-
-    def map(self, fn) -> "PartitionedDataset":
-        """Lazy element-wise transformation; fn must be pure."""
-        return PartitionedDataset(source=self, fn=fn)
-
-    def cache(self) -> "PartitionedDataset":
-        """Retain derived blocks once computed (no effect on concrete data)."""
-        self.materialized = True
-        return self
-
-    def element_at(self, pos: int):
-        """Element at a global position (partition-order offset)."""
-        for i in range(self.num_partitions):
-            size = self.partition_len(i)
-            if pos < size:
-                return self.partition(i)[pos]
-            pos -= size
-        raise IndexError("position out of range")
-
-    def iter_elements(self):
-        for i in range(self.num_partitions):
-            yield from self.partition(i)
-
-    def collect(self) -> list:
-        return list(self.iter_elements())
+    def partition(self, i: int) -> InstanceBlock:
+        return self._blocks[i]
 
     def repartitioned(self, parts: int) -> "PartitionedDataset":
-        """Same elements, contiguously re-split into `parts` partitions."""
-        first = self.partition(0)
-        if hasattr(first, "slice") and hasattr(type(first), "concat"):
-            whole = type(first).concat([self.partition(i) for i in range(self.num_partitions)])
-            sizes = split_sizes(len(whole), parts)
-            blocks, at = [], 0
-            for s in sizes:
-                blocks.append(whole.slice(at, at + s))
-                at += s
-            return PartitionedDataset(blocks=blocks, schema=self.schema)
-        return PartitionedDataset.from_elements(self.collect(), parts, schema=self.schema)
+        """Same rows, contiguously re-split into `parts` partitions."""
+        return PartitionedDataset.split(InstanceBlock.concat(self._blocks), parts, self.schema)
 
 
 class LocalEngine:
-    """Runs actions over a dataset's partitions with a thread pool.
+    """Runs stages over a dataset's partitions with a thread pool.
 
-    User functions must be pure; combination of per-partition results
-    happens sequentially on the driver in partition order.
+    Per-partition results are combined sequentially on the driver in
+    partition order.
     """
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
 
-    # -- scheduling -----------------------------------------------------
-
-    def _per_partition(self, ds: PartitionedDataset, job):
-        idxs = range(ds.num_partitions)
-        if self.config.workers == 1:
-            return [job(i) for i in idxs]
-        with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-            return list(pool.map(job, idxs))
-
-    def _check_result_size(self, nbytes: int) -> None:
-        if nbytes > self.config.max_result_bytes:
-            raise ResultSizeError(
-                f"aggregate result of {nbytes} bytes exceeds cap {self.config.max_result_bytes}"
-            )
-
-    # -- actions ---------------------------------------------------------
-
-    def count(self, ds: PartitionedDataset) -> int:
-        return sum(ds.partition_len(i) for i in range(ds.num_partitions))
-
     def partition_lens(self, ds: PartitionedDataset) -> list[int]:
-        return [ds.partition_len(i) for i in range(ds.num_partitions)]
-
-    def reduce(self, ds: PartitionedDataset, g):
-        """Fold within partitions, then across them; g must be commutative
-        and associative for the result to be well defined."""
-
-        def fold(i):
-            block = ds.partition(i)
-            if len(block) == 0:
-                return None
-            return functools.reduce(g, block)
-
-        partials = [p for p in self._per_partition(ds, fold) if p is not None]
-        if not partials:
-            raise EmptyDatasetError("reduce over an empty dataset")
-        return functools.reduce(g, partials)
-
-    def aggregate(self, ds: PartitionedDataset, zero, seq, comb):
-        """Per-partition fold with `seq` from a fresh copy of `zero`, then
-        `comb` across partition results in partition order."""
-
-        def fold(i):
-            acc = copy.deepcopy(zero)
-            for x in ds.partition(i):
-                acc = seq(acc, x)
-            return acc
-
-        partials = self._per_partition(ds, fold)
-        result = functools.reduce(comb, partials)
-        self._check_result_size(len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)))
-        return result
-
-    def take_sample(self, ds: PartitionedDataset, m: int, seed: int) -> list:
-        """m elements drawn uniformly without replacement, deterministic in
-        (seed, n, m) and independent of partitioning."""
-        n = self.count(ds)
-        positions = draw_sample_positions(n, m, seed)
-        # fetch partition by partition to avoid repeated scans
-        order = sorted(range(m), key=lambda idx: positions[idx])
-        fetched: list = [None] * m
-        pi, offset_base, block = 0, 0, None
-        for idx in order:
-            pos = positions[idx]
-            while pos >= offset_base + ds.partition_len(pi):
-                offset_base += ds.partition_len(pi)
-                pi += 1
-                block = None
-            if block is None:
-                block = ds.partition(pi)
-            fetched[idx] = block[pos - offset_base]
-        return fetched
-
-    # -- named stages -----------------------------------------------------
+        return [len(ds.partition(i)) for i in range(ds.num_partitions)]
 
     def run_stage(self, ds: PartitionedDataset, stage, params):
         """Run a registered stage: per-partition `run_block` from a fresh
@@ -278,7 +164,10 @@ class LocalEngine:
             acc = stage.make_zero(schema, params)
             return stage.run_block(acc, ds.partition(i), params, schema, i)
 
-        partials = self._per_partition(ds, job)
-        result = functools.reduce(stage.comb, partials)
-        self._check_result_size(len(stage.encode_result(result, schema)))
+        result = fold_in_order(job, range(ds.num_partitions), self.config.workers, stage.comb)
+        nbytes = len(stage.encode_result(result, schema))
+        if nbytes > self.config.max_result_bytes:
+            raise ResultSizeError(
+                f"stage {stage.name!r} result of {nbytes} bytes exceeds cap {self.config.max_result_bytes}"
+            )
         return result

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PartitionedDataset, split_sizes
+from .engine import PartitionedDataset
 from .model import FeatureKind, FeatureMeta, InstanceBlock, Schema
 
 __all__ = ["IngestError", "DatasetSource", "infer_schema", "load"]
 
 MISSING_TOKENS = ("", "?")
+_KINDS = tuple(kind.value for kind in FeatureKind)
 
 
 class IngestError(ValueError):
@@ -112,6 +113,9 @@ def _load_sidecar(path: str) -> dict:
             raise IngestError(f"{path}: sidecar is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise IngestError(f"{path}: sidecar must be a JSON object")
+    labels = doc.get("class_labels")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise IngestError(f'{path}: sidecar "class_labels" must be a list of strings')
     return doc
 
 
@@ -140,6 +144,16 @@ def _schema_from_sidecar(header: list[str], cols, sidecar: dict, path: str):
     """(schema, class column position) honouring the sidecar declarations."""
     declared = sidecar.get("columns")
     if declared is not None:
+        if not (isinstance(declared, list) and all(isinstance(c, dict) for c in declared)):
+            raise IngestError(f'{path}: sidecar "columns" must be a list of objects')
+        for i, col in enumerate(declared):
+            if not isinstance(col.get("name"), str):
+                raise IngestError(f'{path}: sidecar column {i} has no "name" string')
+            if "kind" in col and col["kind"] not in _KINDS:
+                raise IngestError(
+                    f"{path}: sidecar column {col['name']!r} has unknown kind {col['kind']!r}"
+                    f" (expected one of {', '.join(_KINDS)})"
+                )
         names = [c["name"] for c in declared]
         if names != header:
             raise IngestError(f"{path}: sidecar columns {names} do not match header {header}")
@@ -276,11 +290,5 @@ def load(src: DatasetSource, partitions: int = 1) -> PartitionedDataset:
         schema, labels, values = _load_csv(src)
     else:
         schema, labels, values = _load_libsvm(src)
-    n = len(labels)
-    ids = np.arange(n, dtype=np.int64)
-    blocks = []
-    at = 0
-    for size in split_sizes(n, partitions):
-        blocks.append(InstanceBlock(ids[at : at + size], labels[at : at + size], values[at : at + size]))
-        at += size
-    return PartitionedDataset.from_blocks(blocks, schema=schema)
+    block = InstanceBlock(np.arange(len(labels), dtype=np.int64), labels, values)
+    return PartitionedDataset.split(block, partitions, schema)

@@ -181,6 +181,11 @@ class InstanceBlock:
     def slice(self, start: int, stop: int) -> "InstanceBlock":
         return InstanceBlock(self.ids[start:stop], self.labels[start:stop], self.values[start:stop])
 
+    def take(self, rows) -> "InstanceBlock":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return InstanceBlock(self.ids[rows], self.labels[rows], self.values[rows])
+
     @classmethod
     def concat(cls, blocks: "list[InstanceBlock]") -> "InstanceBlock":
         return cls(
@@ -343,7 +348,7 @@ def feature_diffs(
 
     `values` and `ref` broadcast against each other over their leading axes
     with features last: (p, a) or (a,) against (a,) gives (p, a), and a
-    (rows, 1, a) block against a (g, a) sample block gives (rows, g, a).
+    (1, rows, a) block against a (g, 1, a) sample block gives (g, rows, a).
     Nominal slots compare category ids for equality; numeric slots are
     range-normalized and optionally passed through the ramp.  This is the
     single authoritative implementation: scalar `diff`, `distance`, the

@@ -6,11 +6,11 @@ makes the search reproducible: any sequence of offers, in any grouping or
 order, yields the same k survivors.
 
 `NeighborMatrix` is the accumulator for the neighbour stage: one bounded
-heap per (class, sample) cell, filled from instance blocks and merged
-across partitions.  A block is filled tile by tile: a tile holds the
-distances from a run of the block's rows to a group of samples, and
+heap per (class, sample) cell, filled from instance blocks by `offer_block`
+and merged across partitions.  A block is filled tile by tile: a tile holds the
+distances from a group of samples to a run of the block's rows, and
 `feature_diffs` fills it one kernel chunk of rows at a time.  For each class
-one `np.partition` along the tile's rows finds every sample's k-th
+one `np.partition` along each sample's row of the tile finds its k-th
 distance; only the rows at or below it are sorted and offered to the heaps.
 `TILE_ELEMS` and `CHUNK_ELEMS` cap the tile and the chunk, so the scratch
 does not grow with the sample count times the partition size.
@@ -25,37 +25,19 @@ import numpy as np
 
 from .model import DiffConfig, FeatureRange, InstanceBlock, feature_diffs
 
-__all__ = [
-    "NeighborHeap",
-    "NeighborMatrix",
-    "pack_instance_fields",
-    "unpack_instance_fields",
-]
+__all__ = ["NeighborHeap", "NeighborMatrix"]
 
 _ENTRY_HEAD = struct.Struct("!dqi")  # distance, neighbour id, class id
 _CELL_HEAD = struct.Struct("!i")
 _MATRIX_HEAD = struct.Struct("!iiii")  # classes, samples, k, features
 
 # Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
-# (rows, samples) distance tile (512 KiB) and one (rows, samples, features)
+# (samples, rows) distance tile (512 KiB) and one (samples, rows, features)
 # diff-kernel chunk (1 MiB).  Each kernel chunk costs a few GIL round trips,
 # so threads running partitions in parallel scale better with larger chunks;
 # a larger scratch raises a worker's peak RSS.
 TILE_ELEMS = 1 << 16
 CHUNK_ELEMS = 1 << 17
-
-
-def pack_instance_fields(iid: int, label: int, values: np.ndarray) -> bytes:
-    """id(8) + class id(4) + one big-endian float64 per feature."""
-    return struct.pack("!qi", iid, label) + values.astype(">f8").tobytes()
-
-
-def unpack_instance_fields(buf: bytes, at: int, num_features: int):
-    iid, label = struct.unpack_from("!qi", buf, at)
-    at += 12
-    values = np.frombuffer(buf, dtype=">f8", count=num_features, offset=at).astype(np.float64)
-    at += 8 * num_features
-    return iid, label, values, at
 
 
 class NeighborHeap:
@@ -81,13 +63,6 @@ class NeighborHeap:
             heapq.heappush(self._heap, item)
         elif item[:2] > self._heap[0][:2]:
             heapq.heapreplace(self._heap, item)
-
-    def worst_key(self):
-        """(distance, id) of the current worst, or None while under capacity."""
-        if len(self._heap) < self.k:
-            return None
-        negd, negi = self._heap[0][:2]
-        return (-negd, -negi)
 
     def merge(self, other: "NeighborHeap") -> None:
         for negd, negi, label, values in other._heap:
@@ -121,24 +96,6 @@ class NeighborMatrix:
 
     # -- filling ----------------------------------------------------------
 
-    def offer_instance(
-        self,
-        iid: int,
-        label: int,
-        values: np.ndarray,
-        sample_values: np.ndarray,
-        numeric_mask: np.ndarray,
-        ranges: FeatureRange,
-        cfg: DiffConfig,
-    ) -> None:
-        # diff is symmetric, so one call against the sample block suffices
-        diffs = feature_diffs(sample_values, values, numeric_mask, ranges, cfg)
-        row = self.grid[label]
-        for s_idx, sid in enumerate(self.sample_ids):
-            if iid == sid:
-                continue
-            row[s_idx].offer(float(np.sum(diffs[s_idx])), iid, label, values)
-
     def offer_block(
         self,
         block: InstanceBlock,
@@ -149,14 +106,16 @@ class NeighborMatrix:
     ) -> None:
         """Offer every row of `block` to every cell, keeping at most k per cell.
 
-        Distances fill a (rows, samples) tile for a run of the block's rows
-        and a group of samples: `feature_diffs` on (rows, 1, a) kernel
-        chunks against the (g, a) sample group, summed over the feature
-        axis.  A sample's own row gets distance +inf, which excludes it by
-        id.  Per class, one `np.partition` along the rows finds each
-        sample's k-th distance; every row at or below it is a candidate, so
-        ties at the k-th distance survive, and the candidates are sorted by
-        (sample, distance, id).  The first k of each sample go to the heap.
+        Distances fill a (samples, rows) tile for a group of samples and a
+        run of the block's rows: `feature_diffs` on (1, rows, a) kernel
+        chunks against the (g, 1, a) sample group, summed over the feature
+        axis.  Each sample's slab of a chunk is contiguous, so the kernel
+        costs the same per element whatever the group size.  A sample's own
+        row gets distance +inf, which excludes it by id.  Per class, one
+        `np.partition` along each sample's row of the tile finds its k-th
+        distance; every row at or below it is a candidate, so ties at the
+        k-th distance survive, and the candidates are sorted by (sample,
+        distance, id).  The first k of each sample go to the heap.
         """
         p, m, a = len(block), self.num_samples, block.values.shape[1]
         if p == 0 or m == 0:
@@ -172,36 +131,36 @@ class NeighborMatrix:
         g = min(m, max(1, TILE_ELEMS // p), max(1, CHUNK_ELEMS // a))
         rows = min(p, TILE_ELEMS // g)
         chunk = max(1, CHUNK_ELEMS // (g * a))
-        tile, kernel = np.empty(rows * g), np.empty(chunk * g * a)
+        tile, kernel = np.empty(g * rows), np.empty(g * chunk * a)
         for s0 in range(0, m, g):
-            group = sample_values[s0 : s0 + g]
+            group = sample_values[s0 : s0 + g, None, :]
             width = len(group)
             own = self_row[s0 : s0 + g]
             for r0 in range(0, p, rows):
                 r1 = min(r0 + rows, p)
-                dist = tile[: (r1 - r0) * width].reshape(r1 - r0, width)
+                dist = tile[: width * (r1 - r0)].reshape(width, r1 - r0)
                 for c0 in range(r0, r1, chunk):
                     c1 = min(c0 + chunk, r1)
-                    out = kernel[: (c1 - c0) * width * a].reshape(c1 - c0, width, a)
-                    diffs = feature_diffs(values[c0:c1, None, :], group, numeric_mask, ranges, cfg, out)
-                    diffs.sum(axis=-1, out=dist[c0 - r0 : c1 - r0])
+                    out = kernel[: width * (c1 - c0) * a].reshape(width, c1 - c0, a)
+                    diffs = feature_diffs(values[None, c0:c1], group, numeric_mask, ranges, cfg, out)
+                    diffs.sum(axis=-1, out=dist[:, c0 - r0 : c1 - r0])
                 inside = np.flatnonzero((own >= r0) & (own < r1))
-                dist[own[inside] - r0, inside] = np.inf
+                dist[inside, own[inside] - r0] = np.inf
                 for label, members in enumerate(class_rows):
                     sel = members[np.searchsorted(members, r0) : np.searchsorted(members, r1)]
                     if sel.size:
-                        self._offer_nearest(label, s0, dist[sel - r0], sel, block)
+                        self._offer_nearest(label, s0, dist[:, sel - r0], sel, block)
 
     def _offer_nearest(self, label, s0, dist, sel, block) -> None:
         """Offer each sample's k nearest rows among `sel`, the class-`label`
-        rows of `block`; row i of `dist` holds row `sel[i]`'s distances to
-        the samples from `s0` on."""
+        rows of `block`; column j of `dist` holds row `sel[j]`'s distances
+        to the samples from `s0` on."""
         k = self.k
         keep = dist < np.inf
         if len(sel) > k:
-            keep &= dist <= np.partition(dist, k - 1, axis=0)[k - 1]
-        at, s_idx = np.nonzero(keep)
-        d = dist[at, s_idx]
+            keep &= dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        s_idx, at = np.nonzero(keep)
+        d = dist[s_idx, at]
         rows = sel[at]
         cand = block.ids[rows]
         by_key = np.lexsort((cand, d, s_idx))

@@ -1,7 +1,7 @@
 """The partition-parallel feature-weighting pipeline.
 
 Six steps over a partitioned dataset: global feature ranges, class priors,
-sample draw, one aggregate pass filling the per-(class, sample) neighbour
+sample draw, one fold pass filling the per-(class, sample) neighbour
 heaps, the per-feature average-difference matrix, and the weight formula.
 Everything after the neighbour pass runs on the driver: the heap matrix is
 c*m cells, small regardless of n.
@@ -25,7 +25,7 @@ from .model import (
     ClassPriors,
     DiffConfig,
     FeatureRange,
-    Instance,
+    InstanceBlock,
     RankConfig,
     Schema,
     WeightVector,
@@ -65,8 +65,9 @@ def compute_priors(ds: PartitionedDataset, engine) -> ClassPriors:
     return ClassPriors(counts)
 
 
-def select_samples(ds: PartitionedDataset, engine, m: int, seed: int) -> list[Instance]:
-    """Draw m instances uniformly without replacement, partition-invariant.
+def select_samples(ds: PartitionedDataset, engine, m: int, seed: int) -> InstanceBlock:
+    """Draw m instances uniformly without replacement, partition-invariant;
+    the block's rows are in draw order.
 
     m greater than the dataset size is clamped to it with a warning.
     """
@@ -77,43 +78,39 @@ def select_samples(ds: PartitionedDataset, engine, m: int, seed: int) -> list[In
     if m > n:
         log.warning("sample size %d exceeds dataset size %d; clamping to %d", m, n, n)
         m = n
-    positions = draw_sample_positions(n, m, seed)
+    positions = np.asarray(draw_sample_positions(n, m, seed))
+    # FETCH returns the rows in ascending position; by_pos[r] is the draw
+    # slot of fetched row r
+    by_pos = np.argsort(positions)
     bounds = np.cumsum(lens)
-    picks: dict[int, list[tuple[int, int]]] = {}
-    for slot, pos in enumerate(positions):
+    picks: dict[int, list[int]] = {}
+    for pos in positions[by_pos].tolist():
         pidx = int(np.searchsorted(bounds, pos, side="right"))
-        offset = pos - (int(bounds[pidx - 1]) if pidx else 0)
-        picks.setdefault(pidx, []).append((slot, offset))
-    for entries in picks.values():
-        entries.sort(key=lambda t: t[1])
+        picks.setdefault(pidx, []).append(pos - (int(bounds[pidx - 1]) if pidx else 0))
     fetched = engine.run_stage(ds, FETCH, FetchParams(picks=picks))
-    fetched.sort(key=lambda t: t[0])
-    return [inst for _, inst in fetched]
+    return fetched.take(np.argsort(by_pos))
 
 
 def find_neighbors(
     ds: PartitionedDataset,
     engine,
-    samples: list[Instance],
+    samples: InstanceBlock,
     ranges: FeatureRange,
     k: int,
     cfg: DiffConfig,
 ) -> NeighborMatrix:
-    """Single aggregate pass filling every (class, sample) neighbour heap.
+    """Single fold pass filling every (class, sample) neighbour heap.
 
     Distances are computed on the fly inside the fold and never stored as a
     dataset; only the bounded heaps travel back to the driver.
     """
-    from .model import InstanceBlock
-
-    sample_block = InstanceBlock.from_instances(samples)
-    params = NeighborParams.build(ds.schema, sample_block, k, ranges, cfg)
+    params = NeighborParams.build(ds.schema, samples, k, ranges, cfg)
     return engine.run_stage(ds, NEIGHBORS, params)
 
 
 def compute_sdif(
     nn: NeighborMatrix,
-    samples: list[Instance],
+    samples: InstanceBlock,
     ranges: FeatureRange,
     k: int,
     cfg: DiffConfig,
@@ -132,12 +129,12 @@ def compute_sdif(
     sdif = np.zeros((c, m, a))
     for ci in range(c):
         row = nn.grid[ci]
-        for i, sample in enumerate(samples):
+        for i in range(m):
             entries = row[i].sorted_entries()
             if not entries:
                 continue
             vals = np.stack([values for _, _, _, values in entries])
-            diffs = feature_diffs(vals, sample.values, numeric_mask, ranges, cfg)
+            diffs = feature_diffs(vals, samples.values[i], numeric_mask, ranges, cfg)
             divisor = len(entries) if average_by_found else k
             sdif[ci, i] = diffs.sum(axis=0) / divisor
     return sdif
@@ -145,7 +142,7 @@ def compute_sdif(
 
 def compute_weights(
     sdif: np.ndarray,
-    samples: list[Instance],
+    samples: InstanceBlock,
     priors: ClassPriors,
 ) -> WeightVector:
     """Fold the difference averages into one weight per feature.
@@ -160,9 +157,8 @@ def compute_weights(
     """
     c, m, a = sdif.shape
     total = np.zeros(a)
-    for i in sorted(range(m), key=lambda idx: samples[idx].id):
-        sample = samples[i]
-        cl = sample.label
+    for i in np.argsort(samples.ids).tolist():
+        cl = int(samples.labels[i])
         term = -sdif[cl, i]
         p_cl = priors.prior(cl)
         denom = 1.0 - p_cl
@@ -181,7 +177,7 @@ class RankResult:
 
     weights: WeightVector
     ranking: np.ndarray
-    samples: list[Instance]
+    samples: InstanceBlock
     priors: ClassPriors
     ranges: FeatureRange
     n: int

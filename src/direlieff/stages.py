@@ -1,13 +1,15 @@
 """Named computation stages shared by the local and cluster backends.
 
-A stage bundles the per-partition fold (element-wise `seq` as the semantic
-contract, `run_block` as an equivalent vectorized fast path), the driver-side
-combiner, and exact byte codecs for its parameters and result.  Backends only
-ever refer to stages by name, so nothing callable crosses the wire.
+A stage bundles the per-partition fold over one `InstanceBlock`
+(`run_block`), the driver-side combiner, and exact byte codecs for its
+parameters and result.  Backends only ever refer to stages by name, so
+nothing callable crosses the wire.
 
 All codecs are big-endian and value-exact: float64 payloads are raw IEEE-754
 bytes, never decimal strings, so a result decodes to the identical bits on
-any host.
+any host.  Instance rows have one wire format, `pack_block` /
+`unpack_block`, used both to ship partitions to cluster workers and to
+return fetched samples.
 """
 
 from __future__ import annotations
@@ -18,22 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiffConfig, DiffMode, FeatureRange, InstanceBlock, Schema
-from .neighbors import NeighborMatrix, pack_instance_fields, unpack_instance_fields
+from .neighbors import NeighborMatrix
 
 __all__ = [
     "Stage",
     "FetchParams",
     "NeighborParams",
-    "COUNT",
     "RANGES",
     "PRIORS",
     "FETCH",
     "NEIGHBORS",
     "STAGES",
+    "pack_block",
+    "unpack_block",
 ]
 
 _I32 = struct.Struct("!i")
-_I64 = struct.Struct("!q")
 
 
 def _pack_f64(arr: np.ndarray) -> bytes:
@@ -45,25 +47,44 @@ def _unpack_f64(buf: bytes, at: int, count: int):
     return out, at + 8 * count
 
 
-class Stage:
-    """Base stage: subclasses set `name` and override the fold hooks.
+def _row_dtype(num_features: int) -> np.dtype:
+    return np.dtype([("id", ">i8"), ("label", ">i4"), ("values", ">f8", (num_features,))])
 
-    `run_block` defaults to folding `seq` over the block's elements; stages
-    that override it with a vectorized path must produce the same result.
-    """
+
+def pack_block(block: InstanceBlock) -> bytes:
+    """Fixed-width rows: id (8 bytes), class id (4 bytes), one 8-byte
+    IEEE-754 value per feature, all big-endian."""
+    rows = np.empty(len(block), dtype=_row_dtype(block.values.shape[1]))
+    rows["id"] = block.ids
+    rows["label"] = block.labels
+    rows["values"] = block.values
+    return rows.tobytes()
+
+
+def unpack_block(buf: bytes, offset: int, nrows: int, num_features: int):
+    """(block, offset past its rows) of `nrows` rows packed at `offset`."""
+    if nrows < 0:
+        raise ValueError(f"negative row count {nrows}")
+    dt = _row_dtype(num_features)
+    rows = np.frombuffer(buf, dtype=dt, count=nrows, offset=offset)
+    block = InstanceBlock(
+        rows["id"].astype(np.int64),
+        rows["label"].astype(np.int32),
+        rows["values"].astype(np.float64),
+    )
+    return block, offset + nrows * dt.itemsize
+
+
+class Stage:
+    """Base stage: subclasses set `name` and override the hooks."""
 
     name = ""
 
     def make_zero(self, schema: Schema, params):
         raise NotImplementedError
 
-    def seq(self, acc, element, params, schema: Schema):
+    def run_block(self, acc, block: InstanceBlock, params, schema: Schema, partition_index: int):
         raise NotImplementedError
-
-    def run_block(self, acc, block, params, schema: Schema, partition_index: int):
-        for element in block:
-            acc = self.seq(acc, element, params, schema)
-        return acc
 
     def comb(self, a, b):
         raise NotImplementedError
@@ -81,28 +102,6 @@ class Stage:
         raise NotImplementedError
 
 
-class CountStage(Stage):
-    name = "count"
-
-    def make_zero(self, schema, params):
-        return 0
-
-    def seq(self, acc, element, params, schema):
-        return acc + 1
-
-    def run_block(self, acc, block, params, schema, partition_index):
-        return acc + len(block)
-
-    def comb(self, a, b):
-        return a + b
-
-    def encode_result(self, result, schema):
-        return _I64.pack(result)
-
-    def decode_result(self, buf, schema, params):
-        return _I64.unpack(buf)[0]
-
-
 class RangesStage(Stage):
     """Per-feature (min, max) fold; exact because min/max never round."""
 
@@ -112,18 +111,13 @@ class RangesStage(Stage):
         a = schema.num_features
         return (np.full(a, np.inf), np.full(a, -np.inf))
 
-    def seq(self, acc, element, params, schema):
-        return (np.minimum(acc[0], element.values), np.maximum(acc[1], element.values))
-
     def run_block(self, acc, block, params, schema, partition_index):
         if len(block) == 0:
             return acc
-        if isinstance(block, InstanceBlock):
-            return (
-                np.minimum(acc[0], block.values.min(axis=0)),
-                np.maximum(acc[1], block.values.max(axis=0)),
-            )
-        return super().run_block(acc, block, params, schema, partition_index)
+        return (
+            np.minimum(acc[0], block.values.min(axis=0)),
+            np.maximum(acc[1], block.values.max(axis=0)),
+        )
 
     def comb(self, a, b):
         return (np.minimum(a[0], b[0]), np.maximum(a[1], b[1]))
@@ -146,14 +140,8 @@ class PriorsStage(Stage):
     def make_zero(self, schema, params):
         return np.zeros(schema.num_classes, dtype=np.int64)
 
-    def seq(self, acc, element, params, schema):
-        acc[element.label] += 1
-        return acc
-
     def run_block(self, acc, block, params, schema, partition_index):
-        if isinstance(block, InstanceBlock):
-            return acc + np.bincount(block.labels, minlength=schema.num_classes)
-        return super().run_block(acc, block, params, schema, partition_index)
+        return acc + np.bincount(block.labels, minlength=schema.num_classes)
 
     def comb(self, a, b):
         return a + b
@@ -167,40 +155,33 @@ class PriorsStage(Stage):
 
 @dataclass(frozen=True)
 class FetchParams:
-    """Rows to pull, keyed by global partition index.
-
-    picks[p] is a list of (slot, offset): `offset` is the row's position
-    inside partition p, `slot` its position in the caller's output list.
-    """
+    """Rows to pull: picks[p] lists the offsets, ascending, of the wanted
+    rows inside partition p."""
 
     picks: dict
 
 
 class FetchStage(Stage):
-    """Collects specific rows by position; the result is a (slot, instance)
-    list the caller reorders by slot."""
+    """Collects specific rows by position into one block, in partition
+    order and, within a partition, in the order of its picks."""
 
     name = "fetch"
-    seq = None  # position-based, no element-wise form
 
     def make_zero(self, schema, params):
-        return []
+        return InstanceBlock(np.empty(0), np.empty(0), np.empty((0, schema.num_features)))
 
     def run_block(self, acc, block, params, schema, partition_index):
-        for slot, offset in params.picks.get(partition_index, ()):
-            acc.append((slot, block[offset]))
-        return acc
+        return self.comb(acc, block.take(params.picks.get(partition_index, [])))
 
     def comb(self, a, b):
-        return a + b
+        return InstanceBlock.concat([a, b])
 
     def encode_params(self, params, schema):
         parts = [_I32.pack(len(params.picks))]
         for pidx in sorted(params.picks):
-            picks = params.picks[pidx]
-            parts.append(struct.pack("!ii", pidx, len(picks)))
-            for slot, offset in picks:
-                parts.append(struct.pack("!ii", slot, offset))
+            offsets = params.picks[pidx]
+            parts.append(struct.pack("!ii", pidx, len(offsets)))
+            parts.append(np.asarray(offsets, dtype=">i4").tobytes())
         return b"".join(parts)
 
     def decode_params(self, buf, schema):
@@ -210,34 +191,19 @@ class FetchStage(Stage):
         for _ in range(nparts):
             pidx, count = struct.unpack_from("!ii", buf, at)
             at += 8
-            entries = []
-            for _ in range(count):
-                entries.append(struct.unpack_from("!ii", buf, at))
-                at += 8
-            picks[pidx] = entries
+            picks[pidx] = np.frombuffer(buf, dtype=">i4", count=count, offset=at).tolist()
+            at += 4 * count
         return FetchParams(picks=picks)
 
     def encode_result(self, result, schema):
-        parts = [_I32.pack(len(result))]
-        for slot, inst in result:
-            parts.append(_I32.pack(slot))
-            parts.append(pack_instance_fields(inst.id, inst.label, inst.values))
-        return b"".join(parts)
+        return _I32.pack(len(result)) + pack_block(result)
 
     def decode_result(self, buf, schema, params):
-        from .model import Instance
-
         (count,) = _I32.unpack_from(buf, 0)
-        at = _I32.size
-        a = schema.num_features
-        out = []
-        for _ in range(count):
-            (slot,) = _I32.unpack_from(buf, at)
-            at += _I32.size
-            iid, label, values, at = unpack_instance_fields(buf, at, a)
-            values.flags.writeable = False
-            out.append((slot, Instance(id=iid, label=label, values=values)))
-        return out
+        block, at = unpack_block(buf, _I32.size, count, schema.num_features)
+        if at != len(buf):
+            raise ValueError(f"{len(buf) - at} trailing bytes after fetched rows")
+        return block
 
 
 @dataclass(frozen=True)
@@ -261,23 +227,9 @@ class NeighborsStage(Stage):
     def make_zero(self, schema, params):
         return NeighborMatrix(schema.num_classes, params.samples.ids, params.k)
 
-    def seq(self, acc, element, params, schema):
-        acc.offer_instance(
-            element.id,
-            element.label,
-            element.values,
-            params.samples.values,
-            params.numeric_mask,
-            params.ranges,
-            params.cfg,
-        )
-        return acc
-
     def run_block(self, acc, block, params, schema, partition_index):
-        if isinstance(block, InstanceBlock):
-            acc.offer_block(block, params.samples.values, params.numeric_mask, params.ranges, params.cfg)
-            return acc
-        return super().run_block(acc, block, params, schema, partition_index)
+        acc.offer_block(block, params.samples.values, params.numeric_mask, params.ranges, params.cfg)
+        return acc
 
     def comb(self, a, b):
         return a.merge(b)
@@ -328,10 +280,9 @@ class NeighborsStage(Stage):
         return NeighborMatrix.decode(buf, params.samples.ids)
 
 
-COUNT = CountStage()
 RANGES = RangesStage()
 PRIORS = PriorsStage()
 FETCH = FetchStage()
 NEIGHBORS = NeighborsStage()
 
-STAGES: dict[str, Stage] = {s.name: s for s in (COUNT, RANGES, PRIORS, FETCH, NEIGHBORS)}
+STAGES: dict[str, Stage] = {s.name: s for s in (RANGES, PRIORS, FETCH, NEIGHBORS)}

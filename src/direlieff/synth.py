@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PartitionedDataset, split_sizes
+from .engine import PartitionedDataset
 from .model import FeatureKind, FeatureMeta, InstanceBlock, ModelError, Schema
 
 __all__ = ["SynthSpec", "make_block", "make_dataset", "gen_synthetic"]
@@ -83,12 +83,7 @@ def make_block(spec: SynthSpec):
 def make_dataset(spec: SynthSpec, partitions: int = 1) -> PartitionedDataset:
     """Generate directly into a partitioned dataset (no files involved)."""
     schema, block = make_block(spec)
-    blocks = []
-    at = 0
-    for size in split_sizes(spec.n, partitions):
-        blocks.append(block.slice(at, at + size))
-        at += size
-    return PartitionedDataset.from_blocks(blocks, schema=schema)
+    return PartitionedDataset.split(block, partitions, schema)
 
 
 def gen_synthetic(spec: SynthSpec, csv_path, sidecar_path=None) -> None:

@@ -1,4 +1,5 @@
-"""Shared test helpers: randomized mixed-type datasets and cluster workers."""
+"""Shared test helpers: randomized mixed-type datasets, a full-sort
+neighbour reference, and cluster workers."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import sys
 
 import numpy as np
 
-from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema
+from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema, feature_diffs
 
 
 def random_mixed_block(rng: np.random.Generator, n: int, a_num: int, a_nom: int, c: int):
@@ -48,6 +49,29 @@ def random_mixed_block(rng: np.random.Generator, n: int, a_num: int, a_nom: int,
     schema = Schema(features=feats, class_labels=tuple(f"c{ci}" for ci in range(c)))
     block = InstanceBlock(np.arange(n, dtype=np.int64), labels, values)
     return schema, block
+
+
+def grid_entries(nn):
+    return [
+        [[(d, i, l, v.tobytes()) for d, i, l, v in heap.sorted_entries()] for heap in row]
+        for row in nn.grid
+    ]
+
+
+def brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k):
+    """Per (class, sample): the k smallest (distance, id) rows by full sort."""
+    out = []
+    for label in range(num_classes):
+        row = []
+        for sid, sval in zip(sample_ids, sample_values):
+            dists = np.sum(feature_diffs(block.values, sval, mask, ranges, cfg), axis=-1)
+            sel = np.flatnonzero((block.labels == label) & (block.ids != sid))
+            best = sel[np.lexsort((block.ids[sel], dists[sel]))[:k]]
+            row.append(
+                [(float(dists[j]), int(block.ids[j]), label, block.values[j].tobytes()) for j in best]
+            )
+        out.append(row)
+    return out
 
 
 def spawn_worker(threads: int = 1):

@@ -1,7 +1,6 @@
 """Acceptance gate: one test per shipping criterion, each printing a
 PASS/FAIL line with its measured numbers at the stated tolerance."""
 
-import functools
 import random
 import time
 
@@ -10,7 +9,7 @@ import pytest
 
 from direlieff.bench import avg_diff, scaling_sweep, speedup_sweep, stability_curve
 from direlieff.cluster import ClusterEngine, encode_frame, parse_frame
-from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset
+from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset, draw_sample_positions
 from direlieff.model import (
     DiffConfig,
     DiffMode,
@@ -20,8 +19,9 @@ from direlieff.model import (
     RankConfig,
     Schema,
 )
-from direlieff.pipeline import rank, write_weights_csv
+from direlieff.pipeline import rank, select_samples, write_weights_csv
 from direlieff.reference import relieff_sequential
+from direlieff.stages import PRIORS, RANGES
 from direlieff.synth import SynthSpec, make_dataset
 
 from _support import random_mixed_block, reap, spawn_worker
@@ -253,20 +253,11 @@ def test_criterion_7_relevance_recovery():
 # -- criterion 8: engine laws ---------------------------------------------------
 
 
-def _random_partitioned(rnd: random.Random, items):
-    cuts = sorted(rnd.sample(range(len(items) + 1), rnd.randint(0, min(4, len(items)))))
-    bounds = [0] + cuts + [len(items)]
-    blocks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return PartitionedDataset.from_blocks(blocks or [items])
-
-
-_FOLDS = [
-    (0, lambda acc, x: acc + x, lambda a, b: a + b),
-    (0, lambda acc, x: acc + x * x, lambda a, b: a + b),
-    (0, lambda acc, x: max(acc, x), lambda a, b: max(a, b)),
-    (0, lambda acc, x: acc + 1, lambda a, b: a + b),
-    ((0, 0), lambda acc, x: (acc[0] + x, acc[1] + 1), lambda a, b: (a[0] + b[0], a[1] + b[1])),
-]
+def _random_partitioned(rnd: random.Random, block, schema):
+    cuts = sorted(rnd.sample(range(len(block) + 1), rnd.randint(0, min(4, len(block)))))
+    bounds = [0] + cuts + [len(block)]
+    blocks = [block.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return PartitionedDataset.from_blocks(blocks, schema=schema)
 
 
 @pytest.mark.acceptance
@@ -276,21 +267,25 @@ def test_criterion_8_engine_laws():
     rnd = random.Random(404)
 
     for _ in range(1000):
-        items = [rnd.randint(0, 100) for _ in range(rnd.randint(1, 30))]
-        zero, seq, comb = rnd.choice(_FOLDS)
-        ds = _random_partitioned(rnd, items)
-        got = eng.aggregate(ds, zero, seq, comb)
-        want = functools.reduce(seq, items, zero)
-        assert got == want
+        rng = np.random.default_rng(rnd.randrange(2**32))
+        schema, block = random_mixed_block(rng, rnd.randint(1, 30), rnd.randint(1, 3), rnd.randint(0, 2), 3)
+        ds = _random_partitioned(rnd, block, schema)
+        mins, maxs = eng.run_stage(ds, RANGES, None)
+        assert np.array_equal(mins, block.values.min(axis=0))
+        assert np.array_equal(maxs, block.values.max(axis=0))
+        assert np.array_equal(eng.run_stage(ds, PRIORS, None), np.bincount(block.labels, minlength=3))
 
     for _ in range(1000):
         n = rnd.randint(1, 40)
-        items = list(range(n))
+        rng = np.random.default_rng(rnd.randrange(2**32))
+        schema, block = random_mixed_block(rng, n, 2, 1, 2)
+        block = InstanceBlock(rng.permutation(n) * 3 + 1, block.labels, block.values)
         m = rnd.randint(1, n)
         seed = rnd.randint(0, 10_000)
-        one = eng.take_sample(_random_partitioned(rnd, items), m, seed)
-        two = eng.take_sample(_random_partitioned(rnd, items), m, seed)
-        assert one == two
+        one = select_samples(_random_partitioned(rnd, block, schema), eng, m, seed)
+        two = select_samples(_random_partitioned(rnd, block, schema), eng, m, seed)
+        want = block.ids[draw_sample_positions(n, m, seed)]
+        assert one.ids.tolist() == two.ids.tolist() == want.tolist()
 
     for _ in range(1000):
         tag = rnd.randint(1, 6)

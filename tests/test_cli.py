@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -221,6 +222,32 @@ class TestBadInput:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "sidecar is not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"columns": [{"kind": "numeric"}], "class_column": "label"}, 'sidecar column 0 has no "name"'),
+            (
+                {"columns": [{"name": f"x0{j}", "kind": "ordinal"} for j in range(5)] + [{"name": "label"}]},
+                "sidecar column 'x00' has unknown kind 'ordinal'",
+            ),
+            ({"columns": "x00,x01,x02,x03,x04,label"}, 'sidecar "columns" must be a list of objects'),
+            ({"columns": [["x00"], ["label"]]}, 'sidecar "columns" must be a list of objects'),
+            ({"class_labels": "c0c1"}, 'sidecar "class_labels" must be a list of strings'),
+            ({"class_labels": [0, 1]}, 'sidecar "class_labels" must be a list of strings'),
+        ],
+    )
+    def test_malformed_sidecar_fields(self, data_csv, tmp_path, capsys, doc, message):
+        side = tmp_path / "bad.schema.json"
+        side.write_text(json.dumps(doc))
+        code = main(
+            ["rank", "--input", data_csv, "--schema", str(side),
+             "--output", str(tmp_path / "w.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestUsage:

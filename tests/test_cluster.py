@@ -13,14 +13,12 @@ from direlieff.cluster import (
     ClusterEngine,
     ClusterError,
     encode_frame,
-    pack_block,
     parse_frame,
-    unpack_block,
 )
 from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset
-from direlieff.model import DiffConfig, DiffMode, InstanceBlock, RankConfig
+from direlieff.model import DiffConfig, DiffMode, RankConfig
 from direlieff.pipeline import compute_priors, compute_ranges, rank, select_samples
-from direlieff.stages import COUNT, NEIGHBORS, PRIORS, RANGES, NeighborParams
+from direlieff.stages import NEIGHBORS, PRIORS, RANGES, NeighborParams, pack_block, unpack_block
 
 from _support import random_mixed_block, reap, spawn_worker
 
@@ -81,7 +79,7 @@ class TestBlockWire:
         rng = np.random.default_rng(seed)
         n, a = int(rng.integers(1, 20)), int(rng.integers(1, 8))
         _, block = random_mixed_block(rng, n, a, 0, 2)
-        buf = pack_block(block, a)
+        buf = pack_block(block)
         assert len(buf) == n * (8 + 4 + 8 * a)
         out, offset = unpack_block(buf, 0, n, a)
         assert offset == len(buf)
@@ -112,9 +110,8 @@ class TestClusterRuns:
             addrs.append(addr)
         try:
             with ClusterEngine(addrs) as eng:
-                assert eng.count(mixed_dataset) == local.count(mixed_dataset)
                 schema = mixed_dataset.schema
-                for stage in (COUNT, RANGES, PRIORS):
+                for stage in (RANGES, PRIORS):
                     remote = eng.run_stage(mixed_dataset, stage, None)
                     want = local.run_stage(mixed_dataset, stage, None)
                     assert stage.encode_result(remote, schema) == stage.encode_result(
@@ -205,7 +202,7 @@ class TestClusterRuns:
         try:
             with ClusterEngine([addr]) as eng:
                 ranges = compute_ranges(mixed_dataset, eng)
-                samples = InstanceBlock.from_instances(select_samples(mixed_dataset, eng, 4, 1))
+                samples = select_samples(mixed_dataset, eng, 4, 1)
                 params = NeighborParams.build(mixed_dataset.schema, samples, 3, ranges, DiffConfig())
                 with pytest.raises(ClusterError, match=f"worker {addr[0]}:{addr[1]}: malformed"):
                     eng.run_stage(mixed_dataset, Mangled(), params)
@@ -248,9 +245,10 @@ class TestWorkerProcess:
         try:
             conn = socketlib.create_connection((host, port), timeout=10)
             assert read_frame(conn)[0] == MSG_REGISTER
-            conn.sendall(encode_frame(MSG_RUN_STAGE, b"\x00\x00\x00\x05countx"))
-            reply_tag, _ = read_frame(conn)
+            conn.sendall(encode_frame(MSG_RUN_STAGE, b"\x00\x00\x00\x06rangesx"))
+            reply_tag, payload = read_frame(conn)
             assert reply_tag == MSG_ERROR
+            assert b"RUN_STAGE before ASSIGN_PARTITIONS" in payload
             conn.sendall(encode_frame(MSG_SHUTDOWN, b""))
             conn.close()
         finally:

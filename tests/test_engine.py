@@ -1,12 +1,12 @@
-"""Partitioned-collection engine: operation laws and failure contracts."""
+"""Partitioned engine: dataset shape, the run_stage fold, sampling laws."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _support import random_mixed_block
 from direlieff.engine import (
-    EmptyDatasetError,
     EngineConfig,
     EngineError,
     LocalEngine,
@@ -15,11 +15,19 @@ from direlieff.engine import (
     draw_sample_positions,
     split_sizes,
 )
-from direlieff.model import InstanceBlock
+from direlieff.model import Instance, InstanceBlock
+from direlieff.pipeline import select_samples
+from direlieff.stages import FETCH, PRIORS, RANGES, FetchParams, PriorsStage
 
 
-def make_ds(elements, partitions):
-    return PartitionedDataset.from_elements(elements, partitions)
+def make_ds(n, partitions, seed=0):
+    """n mixed rows, ids 0..n-1, cut into `partitions` contiguous blocks."""
+    schema, block = random_mixed_block(np.random.default_rng(seed), n, 2, 1, 3)
+    return PartitionedDataset.split(block, partitions, schema)
+
+
+def whole(ds):
+    return InstanceBlock.concat([ds.partition(i) for i in range(ds.num_partitions)])
 
 
 class TestSplitSizes:
@@ -42,135 +50,90 @@ class TestSplitSizes:
         assert max(sizes) - min(sizes) <= 1
 
 
-class TestMap:
-    def test_elementwise(self):
-        ds = PartitionedDataset.from_blocks([[1, 2], [3]])
-        assert ds.map(lambda x: x + 1).collect() == [2, 3, 4]
-
-    def test_empty_partition_preserved(self):
-        ds = PartitionedDataset.from_blocks([[], [1]])
-        out = ds.map(lambda x: x + 1)
-        assert out.partition(0) == []
-        assert out.collect() == [2]
-
-    def test_identity(self):
-        ds = make_ds([5, 6, 7], 2)
-        assert ds.map(lambda x: x).collect() == ds.collect()
-
-    def test_structure_preserved(self):
-        ds = make_ds(list(range(7)), 3)
-        out = ds.map(str)
-        assert out.num_partitions == ds.num_partitions
-        for i in range(ds.num_partitions):
-            assert out.partition_len(i) == ds.partition_len(i)
-
-    def test_lazy_recompute_vs_materialized(self):
-        calls = []
-        ds = make_ds([1, 2, 3], 2).map(lambda x: calls.append(x) or x)
-        ds.collect()
-        ds.collect()
-        assert len(calls) == 6  # recomputed per pass
-        calls.clear()
-        ds.cache()
-        ds.collect()
-        ds.collect()
-        assert len(calls) == 3  # retained after first pass
-
-
-class TestReduce:
-    def test_sum(self):
-        eng = LocalEngine()
-        assert eng.reduce(PartitionedDataset.from_blocks([[1, 2], [3]]), lambda a, b: a + b) == 6
-
-    def test_single_element(self):
-        assert LocalEngine().reduce(make_ds([42], 1), lambda a, b: a + b) == 42
-
-    def test_max(self):
-        ds = PartitionedDataset.from_blocks([[5], [2, 9]])
-        assert LocalEngine().reduce(ds, max) == 9
-
-    def test_empty_dataset_error(self):
-        ds = PartitionedDataset.from_blocks([[], []])
-        with pytest.raises(EmptyDatasetError):
-            LocalEngine().reduce(ds, lambda a, b: a + b)
-
-    def test_skips_empty_partitions(self):
-        ds = PartitionedDataset.from_blocks([[], [4], []])
-        assert LocalEngine().reduce(ds, lambda a, b: a + b) == 4
-
-
 class TestAggregate:
+    """`run_stage`: each partition folded from a fresh zero, the partials
+    combined in partition order, the encoded result size capped."""
+
     def test_count_shape(self):
-        ds = PartitionedDataset.from_blocks([["a", "b"], ["c"]])
-        got = LocalEngine().aggregate(ds, 0, lambda acc, _: acc + 1, lambda x, y: x + y)
-        assert got == 3
+        ds = make_ds(23, 3)
+        counts = LocalEngine().run_stage(ds, PRIORS, None)
+        assert counts.sum() == 23
 
     def test_empty_dataset_returns_zero(self):
-        ds = PartitionedDataset.from_blocks([[], []])
-        got = LocalEngine().aggregate(ds, 0, lambda acc, _: acc + 1, lambda x, y: x + y)
-        assert got == 0
+        ds = make_ds(5, 1)
+        empty = PartitionedDataset.from_blocks([ds.partition(0).slice(0, 0)] * 2, schema=ds.schema)
+        mins, maxs = LocalEngine().run_stage(empty, RANGES, None)
+        assert np.all(mins == np.inf) and np.all(maxs == -np.inf)
+        assert LocalEngine().run_stage(empty, PRIORS, None).tolist() == [0, 0, 0]
 
     def test_collect_concat(self):
-        ds = make_ds([1, 2, 3, 4, 5], 3)
-        got = LocalEngine().aggregate(
-            ds, [], lambda acc, x: acc + [x], lambda x, y: x + y
-        )
-        assert got == [1, 2, 3, 4, 5]
+        ds = make_ds(5, 3)
+        picks = {i: list(range(len(ds.partition(i)))) for i in range(3)}
+        got = LocalEngine().run_stage(ds, FETCH, FetchParams(picks=picks))
+        assert got.ids.tolist() == [0, 1, 2, 3, 4]
+        assert np.array_equal(got.values, whole(ds).values)
 
     def test_zero_deep_copied_per_partition(self):
-        ds = make_ds([1, 2, 3, 4], 4)
-        got = LocalEngine().aggregate(
-            ds, [], lambda acc, x: (acc.append(x), acc)[1], lambda x, y: x + y
-        )
-        assert got == [1, 2, 3, 4]  # no cross-partition zero sharing
+        class InPlacePriors(PriorsStage):
+            def run_block(self, acc, block, params, schema, partition_index):
+                np.add.at(acc, block.labels, 1)  # mutates the zero it was given
+                return acc
+
+        ds = make_ds(40, 4)
+        got = LocalEngine().run_stage(ds, InPlacePriors(), None)
+        want = np.bincount(whole(ds).labels, minlength=3)
+        assert got.tolist() == want.tolist()  # no cross-partition zero sharing
 
     def test_result_size_cap(self):
-        ds = make_ds(list(range(100)), 2)
+        ds = make_ds(100, 2)
         eng = LocalEngine(EngineConfig(max_result_bytes=16))
         with pytest.raises(ResultSizeError):
-            eng.aggregate(ds, [], lambda acc, x: acc + [x], lambda x, y: x + y)
+            eng.run_stage(ds, RANGES, None)
 
-    @given(
-        elements=st.lists(st.integers(-1000, 1000), max_size=60),
-        parts=st.integers(1, 8),
-        workers=st.integers(1, 4),
-    )
+    @given(n=st.integers(1, 60), parts=st.integers(1, 8), workers=st.integers(1, 4), seed=st.integers(0, 99))
     @settings(max_examples=120, deadline=None)
-    def test_matches_sequential_fold(self, elements, parts, workers):
-        ds = make_ds(elements, parts)
+    def test_matches_sequential_fold(self, n, parts, workers, seed):
+        ds = make_ds(n, parts, seed)
         eng = LocalEngine(EngineConfig(workers=workers))
-        assert eng.aggregate(ds, 0, lambda a, x: a + x, lambda a, b: a + b) == sum(elements)
-        assert eng.count(ds) == len(elements)
+        values, labels = whole(ds).values, whole(ds).labels
+        mins, maxs = eng.run_stage(ds, RANGES, None)
+        assert np.array_equal(mins, values.min(axis=0))
+        assert np.array_equal(maxs, values.max(axis=0))
+        assert np.array_equal(eng.run_stage(ds, PRIORS, None), np.bincount(labels, minlength=3))
+        assert sum(eng.partition_lens(ds)) == n
 
 
 class TestTakeSample:
+    """`select_samples`: a draw that depends only on (n, m, seed)."""
+
     def test_m_equals_n_is_permutation(self):
-        ds = make_ds(list(range(20)), 3)
-        got = LocalEngine().take_sample(ds, 20, seed=5)
-        assert sorted(got) == list(range(20))
+        got = select_samples(make_ds(20, 3), LocalEngine(), 20, seed=5)
+        assert sorted(got.ids.tolist()) == list(range(20))
 
     def test_same_seed_same_sequence(self):
-        ds = make_ds(list(range(50)), 4)
+        ds = make_ds(50, 4)
         eng = LocalEngine()
-        assert eng.take_sample(ds, 10, seed=3) == eng.take_sample(ds, 10, seed=3)
+        one, two = (select_samples(ds, eng, 10, seed=3) for _ in range(2))
+        assert one.ids.tolist() == two.ids.tolist()
 
     def test_different_seeds_differ(self):
-        ds = make_ds(list(range(1000)), 1)
+        ds = make_ds(1000, 1)
         eng = LocalEngine()
-        assert eng.take_sample(ds, 10, seed=0) != eng.take_sample(ds, 10, seed=1)
+        one, two = (select_samples(ds, eng, 10, seed=seed) for seed in (0, 1))
+        assert one.ids.tolist() != two.ids.tolist()
 
     def test_partition_invariance(self):
-        elements = [f"e{i}" for i in range(37)]
         eng = LocalEngine()
-        drawn = [eng.take_sample(make_ds(elements, p), 9, seed=11) for p in (1, 2, 4, 8)]
-        assert all(d == drawn[0] for d in drawn)
+        drawn = [select_samples(make_ds(37, p), eng, 9, seed=11) for p in (1, 2, 4, 8)]
+        for d in drawn:
+            assert d.ids.tolist() == drawn[0].ids.tolist()
+            assert np.array_equal(d.values, drawn[0].values)
 
     def test_m_out_of_range(self):
-        ds = make_ds([1, 2, 3], 1)
         with pytest.raises(EngineError):
-            LocalEngine().take_sample(ds, 4, seed=0)
+            draw_sample_positions(3, 4, seed=0)
         with pytest.raises(EngineError):
-            LocalEngine().take_sample(ds, 0, seed=0)
+            draw_sample_positions(3, 0, seed=0)
 
     @given(n=st.integers(1, 300), seed=st.integers(0, 10_000), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -187,17 +150,25 @@ class TestDatasetShape:
         with pytest.raises(ValueError):
             PartitionedDataset.from_blocks([])
 
-    def test_element_at_walks_partitions(self):
-        ds = make_ds([10, 11, 12, 13, 14], 2)
-        assert [ds.element_at(i) for i in range(5)] == [10, 11, 12, 13, 14]
-        with pytest.raises(IndexError):
-            ds.element_at(5)
+    def test_rejects_a_partition_that_is_not_a_block(self):
+        block = make_ds(4, 1).partition(0)
+        with pytest.raises(EngineError, match="partition 1 is a list"):
+            PartitionedDataset.from_blocks([block, [Instance(9, 0, np.zeros(3))]])
+
+    def test_rejects_a_partition_of_another_width(self):
+        ds = make_ds(4, 1)
+        narrow = InstanceBlock(np.arange(2), np.zeros(2), np.zeros((2, 2)))
+        with pytest.raises(EngineError, match="partition 1 has 2 features, expected 3"):
+            PartitionedDataset.from_blocks([ds.partition(0), narrow], schema=ds.schema)
+        with pytest.raises(EngineError, match="partition 0 has 2 features, expected 3"):
+            PartitionedDataset.from_blocks([narrow], schema=ds.schema)
 
     def test_repartition_preserves_order(self):
-        ds = make_ds(list(range(11)), 3)
+        ds = make_ds(11, 3)
         again = ds.repartitioned(5)
         assert again.num_partitions == 5
-        assert again.collect() == list(range(11))
+        assert again.schema is ds.schema
+        assert whole(again).ids.tolist() == list(range(11))
 
     def test_repartition_instance_blocks(self):
         block = InstanceBlock(

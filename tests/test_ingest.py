@@ -64,7 +64,7 @@ class TestLoadCsv:
 
     def test_ids_follow_file_order(self, tmp_path):
         ds = load(DatasetSource(write(tmp_path, "t.csv", TOY)), partitions=3)
-        ids = [inst.id for inst in ds.iter_elements()]
+        ids = [int(i) for p in range(ds.num_partitions) for i in ds.partition(p).ids]
         assert ids == [0, 1, 2, 3]
         assert ds.partition(0).values[0, 0] == 1.0
         assert ds.partition(1).values[0, 0] == 3.5

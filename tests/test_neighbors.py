@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _support import brute_force_entries, grid_entries
 from direlieff import neighbors
-from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock, feature_diffs
+from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock
 from direlieff.neighbors import NeighborHeap, NeighborMatrix
 
 
@@ -44,14 +45,6 @@ class TestNeighborHeap:
         assert keys(heap) == [(1.0, 1), (2.0, 2), (3.0, 3)]
         heap.offer(3.0, 2, 0, np.array([2.0]))  # smaller id wins the tie
         assert keys(heap) == [(1.0, 1), (2.0, 2), (3.0, 2)]
-
-    def test_worst_key(self):
-        heap = NeighborHeap(k=2)
-        assert heap.worst_key() is None
-        heap.offer(4.0, 1, 0, np.array([0.0]))
-        assert heap.worst_key() is None  # still under capacity
-        heap.offer(2.0, 2, 0, np.array([0.0]))
-        assert heap.worst_key() == (4.0, 1)
 
     @given(
         entries=st.lists(
@@ -99,25 +92,13 @@ def toy_matrix_inputs(n=12, a=2, c=2, m=3, seed=0):
 
 class TestNeighborMatrix:
     def test_block_path_equals_instance_path(self):
+        # the reference sorts every instance's distance to each sample
         block, sample_block, mask, ranges = toy_matrix_inputs(n=40, a=3, c=3, m=5, seed=4)
         cfg = DiffConfig()
-        k = 4
-        via_block = NeighborMatrix(3, sample_block.ids, k)
+        via_block = NeighborMatrix(3, sample_block.ids, 4)
         via_block.offer_block(block, sample_block.values, mask, ranges, cfg)
-        one_by_one = NeighborMatrix(3, sample_block.ids, k)
-        for inst in block:
-            one_by_one.offer_instance(
-                inst.id, inst.label, inst.values, sample_block.values, mask, ranges, cfg
-            )
-        for ci in range(3):
-            for s in range(5):
-                got = via_block.grid[ci][s].sorted_entries()
-                want = one_by_one.grid[ci][s].sorted_entries()
-                assert [(d, i, l) for d, i, l, _ in got] == [
-                    (d, i, l) for d, i, l, _ in want
-                ]  # distances bit-identical between the two paths
-                for (_, _, _, v1), (_, _, _, v2) in zip(got, want):
-                    assert np.array_equal(v1, v2)
+        want = brute_force_entries(block, sample_block.ids, sample_block.values, mask, ranges, cfg, 3, 4)
+        assert grid_entries(via_block) == want  # distances bit-identical
 
     def test_self_excluded_by_id_only(self):
         # two rows with identical values but different ids: the duplicate stays
@@ -174,29 +155,6 @@ class TestNeighborMatrix:
             NeighborMatrix.decode(buf, sample_block.ids[:-1])
 
 
-def grid_entries(nn):
-    return [
-        [[(d, i, l, v.tobytes()) for d, i, l, v in heap.sorted_entries()] for heap in row]
-        for row in nn.grid
-    ]
-
-
-def brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k):
-    """Per (class, sample): the k smallest (distance, id) rows by full sort."""
-    out = []
-    for label in range(num_classes):
-        row = []
-        for sid, sval in zip(sample_ids, sample_values):
-            dists = np.sum(feature_diffs(block.values, sval, mask, ranges, cfg), axis=-1)
-            sel = np.flatnonzero((block.labels == label) & (block.ids != sid))
-            best = sel[np.lexsort((block.ids[sel], dists[sel]))[:k]]
-            row.append(
-                [(float(dists[j]), int(block.ids[j]), label, block.values[j].tobytes()) for j in best]
-            )
-        out.append(row)
-    return out
-
-
 @st.composite
 def neighbor_inputs(draw):
     """Small blocks built to stress the selection: few distinct values (many
@@ -240,12 +198,8 @@ class TestOfferBlockSelection:
         block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k = inputs
         via_block = NeighborMatrix(num_classes, sample_ids, k)
         via_block.offer_block(block, sample_values, mask, ranges, cfg)
-        one_by_one = NeighborMatrix(num_classes, sample_ids, k)
-        for inst in block:
-            one_by_one.offer_instance(
-                inst.id, inst.label, inst.values, sample_values, mask, ranges, cfg
-            )
-        assert grid_entries(via_block) == grid_entries(one_by_one)
+        want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k)
+        assert grid_entries(via_block) == want
 
     @pytest.mark.parametrize(
         "rows_per_tile, m, a",

@@ -18,7 +18,6 @@ from direlieff.model import (
     FeatureKind,
     FeatureMeta,
     FeatureRange,
-    Instance,
     InstanceBlock,
     RankConfig,
     Schema,
@@ -82,15 +81,17 @@ class TestRanges:
         r = compute_ranges(ds, LocalEngine())
         lo = np.full(schema.num_features, np.inf)
         hi = np.full(schema.num_features, -np.inf)
-        for inst in ds.iter_elements():
-            lo = np.minimum(lo, inst.values)
-            hi = np.maximum(hi, inst.values)
+        for i in range(ds.num_partitions):
+            for inst in ds.partition(i):
+                lo = np.minimum(lo, inst.values)
+                hi = np.maximum(hi, inst.values)
         mask = schema.numeric_mask()
         assert np.array_equal(r.mins[mask], lo[mask])
         assert np.array_equal(r.maxs[mask], hi[mask])
 
     def test_empty_dataset_rejected(self):
-        ds = PartitionedDataset.from_blocks([[]], schema=numeric_schema(1))
+        empty = InstanceBlock(np.empty(0), np.empty(0), np.empty((0, 1)))
+        ds = PartitionedDataset.from_blocks([empty], schema=numeric_schema(1))
         with pytest.raises(EmptyDatasetError):
             compute_ranges(ds, LocalEngine())
 
@@ -148,8 +149,8 @@ class TestFindNeighbors:
         ds = tiny_dataset([[0.0], [1.0], [2.0], [10.0]], [0, 0, 0, 1], schema)
         eng = LocalEngine()
         ranges = compute_ranges(ds, eng)
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        nn = find_neighbors(ds, eng, [sample], ranges, k=2, cfg=DiffConfig())
+        sample = InstanceBlock([0], [0], [[0.0]])
+        nn = find_neighbors(ds, eng, sample, ranges, k=2, cfg=DiffConfig())
         hits = nn.grid[0][0].sorted_entries()
         assert [iid for _, iid, _, _ in hits] == [1, 2]
         assert [v[0] for _, _, _, v in hits] == [1.0, 2.0]
@@ -161,38 +162,27 @@ class TestFindNeighbors:
         ds = tiny_dataset([[0.0], [1.0], [5.0]], [0, 0, 1], schema)
         eng = LocalEngine()
         ranges = compute_ranges(ds, eng)
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        nn = find_neighbors(ds, eng, [sample], ranges, k=3, cfg=DiffConfig())
+        sample = InstanceBlock([0], [0], [[0.0]])
+        nn = find_neighbors(ds, eng, sample, ranges, k=3, cfg=DiffConfig())
         assert len(nn.grid[0][0].sorted_entries()) == 1  # only one other hit
         assert len(nn.grid[1][0].sorted_entries()) == 1
 
-    def test_each_instance_visited_once(self):
-        # element partitions force the per-element fold; count the yields
+    def test_each_instance_visited_once(self, monkeypatch):
         reads = []
+        offer_block = NeighborMatrix.offer_block
 
-        class TallyList(list):
-            def __iter__(self):
-                it = super().__iter__()
+        def tally(self, block, *args):
+            reads.extend(block.ids.tolist())
+            return offer_block(self, block, *args)
 
-                def gen():
-                    for item in it:
-                        reads.append(item.id)
-                        yield item
-
-                return gen()
-
+        monkeypatch.setattr(NeighborMatrix, "offer_block", tally)
         schema = numeric_schema(2, c=2)
         rng = np.random.default_rng(0)
-        insts = [
-            Instance(id=i, label=int(i % 2), values=rng.uniform(0, 1, size=2))
-            for i in range(24)
-        ]
-        parts = [TallyList(insts[:10]), TallyList(insts[10:])]
-        ds = PartitionedDataset.from_blocks(parts, schema=schema)
+        block = InstanceBlock(np.arange(24), np.arange(24) % 2, rng.uniform(0, 1, size=(24, 2)))
+        ds = PartitionedDataset.from_blocks([block.slice(0, 10), block.slice(10, 24)], schema=schema)
         eng = LocalEngine()
         ranges = compute_ranges(ds, eng)
         samples = select_samples(ds, eng, m=4, seed=1)
-        reads.clear()
         find_neighbors(ds, eng, samples, ranges, k=3, cfg=DiffConfig())
         assert sorted(reads) == list(range(24))
 
@@ -210,35 +200,35 @@ class TestComputeSdif:
 
     def test_empty_cells_are_zero(self):
         nn = NeighborMatrix(2, [0], k=2)
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        out = compute_sdif(nn, [sample], one_feature_range(), 2, DiffConfig(), np.array([True]))
+        sample = InstanceBlock([0], [0], [[0.0]])
+        out = compute_sdif(nn, sample, one_feature_range(), 2, DiffConfig(), np.array([True]))
         assert out.shape == (2, 1, 1)
         assert np.all(out == 0.0)
 
     def test_single_neighbor(self):
         nn = self.fill(k=1, neighbor_values=[0.4])
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        out = compute_sdif(nn, [sample], one_feature_range(), 1, DiffConfig(), np.array([True]))
+        sample = InstanceBlock([0], [0], [[0.0]])
+        out = compute_sdif(nn, sample, one_feature_range(), 1, DiffConfig(), np.array([True]))
         assert out[0, 0, 0] == pytest.approx(0.4, abs=1e-15)
         assert out[1, 0, 0] == 0.0
 
     def test_two_neighbors_average(self):
         nn = self.fill(k=2, neighbor_values=[0.4, 0.2])
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        out = compute_sdif(nn, [sample], one_feature_range(), 2, DiffConfig(), np.array([True]))
+        sample = InstanceBlock([0], [0], [[0.0]])
+        out = compute_sdif(nn, sample, one_feature_range(), 2, DiffConfig(), np.array([True]))
         assert out[0, 0, 0] == pytest.approx(0.3, abs=1e-15)
 
     def test_underfull_divides_by_k(self):
         nn = self.fill(k=2, neighbor_values=[0.4])
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        out = compute_sdif(nn, [sample], one_feature_range(), 2, DiffConfig(), np.array([True]))
+        sample = InstanceBlock([0], [0], [[0.0]])
+        out = compute_sdif(nn, sample, one_feature_range(), 2, DiffConfig(), np.array([True]))
         assert out[0, 0, 0] == pytest.approx(0.2, abs=1e-15)
 
     def test_underfull_average_by_found(self):
         nn = self.fill(k=2, neighbor_values=[0.4])
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
+        sample = InstanceBlock([0], [0], [[0.0]])
         out = compute_sdif(
-            nn, [sample], one_feature_range(), 2, DiffConfig(), np.array([True]),
+            nn, sample, one_feature_range(), 2, DiffConfig(), np.array([True]),
             average_by_found=True,
         )
         assert out[0, 0, 0] == pytest.approx(0.4, abs=1e-15)
@@ -249,39 +239,34 @@ class TestComputeWeights:
         # hits identical, misses maximally different, even priors
         sdif = np.zeros((2, 1, 1))
         sdif[1, 0, 0] = 1.0
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        w = compute_weights(sdif, [sample], ClassPriors(np.array([2, 2])))
+        sample = InstanceBlock([0], [0], [[0.0]])
+        w = compute_weights(sdif, sample, ClassPriors(np.array([2, 2])))
         assert w.values[0] == 1.0
 
     def test_zero_prior_class_ignored(self):
         sdif = np.zeros((3, 1, 1))
         sdif[1, 0, 0] = 1.0
         sdif[2, 0, 0] = 5.0  # no instances of class 2: must not contribute
-        sample = Instance(id=0, label=0, values=np.array([0.0]))
-        w = compute_weights(sdif, [sample], ClassPriors(np.array([2, 2, 0])))
+        sample = InstanceBlock([0], [0], [[0.0]])
+        w = compute_weights(sdif, sample, ClassPriors(np.array([2, 2, 0])))
         assert w.values[0] == 1.0
 
     def test_single_class_keeps_hit_term_only(self):
         sdif = np.zeros((1, 2, 1))
         sdif[0, 0, 0] = 0.5
         sdif[0, 1, 0] = 0.1
-        samples = [
-            Instance(id=0, label=0, values=np.array([0.0])),
-            Instance(id=1, label=0, values=np.array([0.0])),
-        ]
+        samples = InstanceBlock([0, 1], [0, 0], [[0.0], [0.0]])
         w = compute_weights(sdif, samples, ClassPriors(np.array([2])))
         assert w.values[0] == pytest.approx(-0.3, abs=1e-15)
 
     def test_draw_order_does_not_change_weights(self):
         rng = np.random.default_rng(5)
         sdif = rng.uniform(0, 0.2, size=(2, 4, 3))
-        samples = [
-            Instance(id=i, label=int(i % 2), values=np.zeros(3)) for i in range(4)
-        ]
+        samples = InstanceBlock(np.arange(4), np.arange(4) % 2, np.zeros((4, 3)))
         priors = ClassPriors(np.array([5, 5]))
         perm = [2, 0, 3, 1]
         w1 = compute_weights(sdif, samples, priors)
-        w2 = compute_weights(sdif[:, perm], [samples[i] for i in perm], priors)
+        w2 = compute_weights(sdif[:, perm], samples.take(perm), priors)
         assert np.array_equal(w1.values, w2.values)
 
 
@@ -335,7 +320,7 @@ class TestRank:
         assert np.max(np.abs(result.weights.values)) < 0.05
 
     def test_requires_schema(self):
-        ds = PartitionedDataset.from_blocks([[Instance(0, 0, np.zeros(1))]])
+        ds = PartitionedDataset.from_blocks([InstanceBlock([0], [0], [[0.0]])])
         with pytest.raises(ValueError, match="schema"):
             rank(ds, RankConfig(m=1, k=1, seed=0))
 

@@ -1,12 +1,11 @@
-"""Stage registry: element-wise vs vectorized folds and codec round trips."""
+"""Stage registry: block folds against plain numpy folds, codec round trips."""
 
 import numpy as np
 import pytest
 
-from _support import random_mixed_block
+from _support import brute_force_entries, grid_entries, random_mixed_block
 from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock
 from direlieff.stages import (
-    COUNT,
     FETCH,
     NEIGHBORS,
     PRIORS,
@@ -24,38 +23,20 @@ def dataset(request):
     return schema, block
 
 
-def fold_seq(stage, schema, params, block):
-    acc = stage.make_zero(schema, params)
-    for inst in block:
-        acc = stage.seq(acc, inst, params, schema)
-    return acc
-
-
 class TestRegistry:
     def test_all_stages_registered(self):
-        assert set(STAGES) == {"count", "ranges", "priors", "fetch", "neighbors"}
+        assert set(STAGES) == {"ranges", "priors", "fetch", "neighbors"}
         for name, stage in STAGES.items():
             assert stage.name == name
-
-
-class TestCountStage:
-    def test_block_equals_seq(self, dataset):
-        schema, block = dataset
-        assert COUNT.run_block(0, block, None, schema, 0) == fold_seq(COUNT, schema, None, block)
-
-    def test_codec(self, dataset):
-        schema, _ = dataset
-        assert COUNT.decode_result(COUNT.encode_result(1234, schema), schema, None) == 1234
 
 
 class TestRangesStage:
     def test_block_equals_seq_exactly(self, dataset):
         schema, block = dataset
         zero = RANGES.make_zero(schema, None)
-        fast = RANGES.run_block(zero, block, None, schema, 0)
-        slow = fold_seq(RANGES, schema, None, block)
-        assert np.array_equal(fast[0], slow[0])
-        assert np.array_equal(fast[1], slow[1])
+        mins, maxs = RANGES.run_block(zero, block, None, schema, 0)
+        assert np.array_equal(mins, block.values.min(axis=0))
+        assert np.array_equal(maxs, block.values.max(axis=0))
 
     def test_comb_is_elementwise_minmax(self, dataset):
         schema, block = dataset
@@ -68,9 +49,9 @@ class TestRangesStage:
         assert np.array_equal(merged[1], whole[1])
 
     def test_empty_block_is_identity(self, dataset):
-        schema, _ = dataset
+        schema, block = dataset
         zero = RANGES.make_zero(schema, None)
-        out = RANGES.run_block(zero, [], None, schema, 0)
+        out = RANGES.run_block(zero, block.slice(0, 0), None, schema, 0)
         assert np.array_equal(out[0], zero[0])
 
     def test_codec_exact(self, dataset):
@@ -85,8 +66,7 @@ class TestPriorsStage:
     def test_block_equals_seq(self, dataset):
         schema, block = dataset
         fast = PRIORS.run_block(PRIORS.make_zero(schema, None), block, None, schema, 0)
-        slow = fold_seq(PRIORS, schema, None, block)
-        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast, np.bincount(block.labels, minlength=schema.num_classes))
         assert fast.sum() == len(block)
 
     def test_codec(self, dataset):
@@ -99,30 +79,27 @@ class TestPriorsStage:
 class TestFetchStage:
     def test_picks_by_partition_and_offset(self, dataset):
         schema, block = dataset
-        params = FetchParams(picks={0: [(1, 4), (0, 10)], 2: [(2, 3)]})
-        out = FETCH.run_block([], block, params, schema, 0)
+        params = FetchParams(picks={0: [4, 10], 2: [3]})
+        out = FETCH.run_block(FETCH.make_zero(schema, params), block, params, schema, 0)
         out = FETCH.run_block(out, block, params, schema, 1)  # no picks here
         out = FETCH.run_block(out, block, params, schema, 2)
-        assert [(slot, inst.id) for slot, inst in out] == [
-            (1, int(block.ids[4])),
-            (0, int(block.ids[10])),
-            (2, int(block.ids[3])),
-        ]
+        assert isinstance(out, InstanceBlock)
+        assert out.ids.tolist() == [int(block.ids[4]), int(block.ids[10]), int(block.ids[3])]
+        assert np.array_equal(out.values, block.values[[4, 10, 3]])
 
     def test_codecs_round_trip(self, dataset):
         schema, block = dataset
-        params = FetchParams(picks={3: [(0, 1), (5, 2)], 1: [(2, 0)]})
+        params = FetchParams(picks={3: [1, 2], 1: [0]})
         back = FETCH.decode_params(FETCH.encode_params(params, schema), schema)
-        assert {k: [tuple(t) for t in v] for k, v in back.picks.items()} == {
-            k: [tuple(t) for t in v] for k, v in params.picks.items()
-        }
-        result = [(0, block[4]), (3, block[7])]
-        decoded = FETCH.decode_result(FETCH.encode_result(result, schema), schema, params)
-        assert [(s, inst.id, inst.label) for s, inst in decoded] == [
-            (s, inst.id, inst.label) for s, inst in result
-        ]
-        for (_, a), (_, b) in zip(decoded, result):
-            assert np.array_equal(a.values, b.values)
+        assert back.picks == params.picks
+        result = block.take([4, 7])
+        buf = FETCH.encode_result(result, schema)
+        decoded = FETCH.decode_result(buf, schema, params)
+        assert decoded.ids.tolist() == result.ids.tolist()
+        assert decoded.labels.tolist() == result.labels.tolist()
+        assert np.array_equal(decoded.values, result.values)
+        with pytest.raises(ValueError, match="trailing"):
+            FETCH.decode_result(buf + b"\x00", schema, params)
 
 
 class TestNeighborsStage:
@@ -144,12 +121,11 @@ class TestNeighborsStage:
         fast = NEIGHBORS.run_block(
             NEIGHBORS.make_zero(schema, params), block, params, schema, 0
         )
-        slow = fold_seq(NEIGHBORS, schema, params, block)
-        for ci in range(schema.num_classes):
-            for s in range(4):
-                got = fast.grid[ci][s].sorted_entries()
-                want = slow.grid[ci][s].sorted_entries()
-                assert [(d, i) for d, i, _, _ in got] == [(d, i) for d, i, _, _ in want]
+        s = params.samples
+        want = brute_force_entries(
+            block, s.ids, s.values, params.numeric_mask, params.ranges, params.cfg, schema.num_classes, params.k
+        )
+        assert grid_entries(fast) == want
 
     def test_params_round_trip_exact(self, dataset):
         schema, block = dataset
