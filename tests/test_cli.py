@@ -235,6 +235,8 @@ class TestBadInput:
             ({"columns": [["x00"], ["label"]]}, 'sidecar "columns" must be a list of objects'),
             ({"class_labels": "c0c1"}, 'sidecar "class_labels" must be a list of strings'),
             ({"class_labels": [0, 1]}, 'sidecar "class_labels" must be a list of strings'),
+            ({"class_labels": ["c0", "c1", "c0"]}, 'sidecar "class_labels" repeats a label'),
+            ({"class_labels": []}, 'sidecar "class_labels" needs at least two labels'),
         ],
     )
     def test_malformed_sidecar_fields(self, data_csv, tmp_path, capsys, doc, message):
@@ -248,6 +250,48 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "w.csv").exists()
+
+
+    def test_non_finite_cell_without_sidecar(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,b,label\n1.5,x,y\n2.5,z,n\n-inf,x,y\n0.5,z,n\n")
+        code = main(["rank", "--input", str(csv_path), "--m", "2", "--k", "1",
+                     "--output", str(tmp_path / "w.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d.csv:4: non-finite value '-inf' in numeric column 'a'" in err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_unknown_class_label_message(self, tmp_path, capsys):
+        csv_path, side = tmp_path / "t.csv", tmp_path / "t.schema.json"
+        csv_path.write_text("a,label\n1,y\n2,n\n")
+        side.write_text(json.dumps({"class_labels": ["y", "x"]}))
+        code = main(["rank", "--input", str(csv_path), "--schema", str(side),
+                     "--output", str(tmp_path / "w.csv")])
+        assert code == 1
+        assert "t.csv:3: unknown class label 'n'\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["abc", 5.5, True, None, [3]])
+    def test_libsvm_num_features_must_be_an_integer(self, tmp_path, capsys, count):
+        data, side = tmp_path / "t.libsvm", tmp_path / "t.schema.json"
+        data.write_text("1 1:0.5\n0 1:1.5\n")
+        side.write_text(json.dumps({"num_features": count}))
+        code = main(["rank", "--input", str(data), "--format", "libsvm", "--schema", str(side),
+                     "--m", "1", "--k", "1", "--output", str(tmp_path / "w.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f't.schema.json: sidecar "num_features" must be an integer, not {count!r}' in err
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_libsvm_unknown_class_label_message(self, tmp_path, capsys):
+        data, side = tmp_path / "t.libsvm", tmp_path / "t.schema.json"
+        data.write_text("y 1:0.5\nn 1:1.5\n")
+        side.write_text(json.dumps({"class_labels": ["y", "x"]}))
+        code = main(["rank", "--input", str(data), "--format", "libsvm", "--schema", str(side),
+                     "--output", str(tmp_path / "w.csv")])
+        assert code == 1
+        assert "t.libsvm:2: unknown class label 'n'\n" in capsys.readouterr().err
 
 
 class TestUsage:
