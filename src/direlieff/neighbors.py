@@ -7,13 +7,37 @@ order, yields the same k survivors.
 
 `NeighborMatrix` is the accumulator for the neighbour stage: one bounded
 heap per (class, sample) cell, filled from instance blocks by `offer_block`
-and merged across partitions.  A block is filled tile by tile: a tile holds the
-distances from a group of samples to a run of the block's rows, and
-`feature_diffs` fills it one kernel chunk of rows at a time.  For each class
-one `np.partition` along each sample's row of the tile finds its k-th
-distance; only the rows at or below it are sorted and offered to the heaps.
-`TILE_ELEMS` and `CHUNK_ELEMS` cap the tile and the chunk, so the scratch
-does not grow with the sample count times the partition size.
+and merged across partitions.  A block is filled tile by tile: a tile holds
+the distances from a group of samples to a run of the block's rows.  The
+run is first copied feature-major, (features, rows), so that every later
+pass reads and writes whole contiguous rows of one feature.  The tile is
+then filled one kernel chunk at a time: one `feature_diffs` call writes a
+chunk's diffs feature-major into a (features, samples, rows) buffer, and
+`pairwise_sum` adds its feature planes into the tile.
+
+The sum must keep the bits that `.sum(axis=-1)` gives over a row of
+features, since the distances decide the neighbours and the weights.  numpy
+adds a row in a fixed "pairwise" order (`pairwise_sum` in its
+`loops_utils.h.src`): up to 128 terms it keeps eight partial sums, one per
+feature index mod 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+and adds the remaining a mod 8 features one at a time; above 128 it splits
+at a multiple of 8 and recurses.  `pairwise_sum` replays that order with a
+few whole-plane calls: a reduction along the outer axis of a buffer adds
+its planes in sequence, cell by cell, and the tree is two stacked adds.  So
+a chunk costs one `feature_diffs` call and four summing calls for up to 128
+features, and no loop over features runs in Python; one call per feature
+would hold the GIL so often that threads running partitions in parallel
+stop scaling.  Every call still takes the GIL briefly, which is why chunks
+are large.
+
+Per class, a row can enter a cell only at or below the cell's current
+worst entry, so most rows of a tile are dropped by one comparison against
+the cells' bounds.  While a cell is not yet full, one `np.partition` along
+each sample's row of the tile first cuts the rows at its k-th distance.
+The survivors are sorted by (sample, distance, id) and the first k of each
+sample go to the heap.  `tiling` bounds the tile, the feature-major copy
+and the chunk, so the scratch does not grow with the sample count times the
+partition size.
 """
 
 from __future__ import annotations
@@ -25,19 +49,104 @@ import numpy as np
 
 from .model import DiffConfig, FeatureRange, InstanceBlock, feature_diffs
 
-__all__ = ["NeighborHeap", "NeighborMatrix"]
+__all__ = ["NeighborHeap", "NeighborMatrix", "pairwise_sum", "tiling"]
 
 _ENTRY_HEAD = struct.Struct("!dqi")  # distance, neighbour id, class id
 _CELL_HEAD = struct.Struct("!i")
 _MATRIX_HEAD = struct.Struct("!iiii")  # classes, samples, k, features
 
 # Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
-# (samples, rows) distance tile (512 KiB) and one (samples, rows, features)
-# diff-kernel chunk (1 MiB).  Each kernel chunk costs a few GIL round trips,
-# so threads running partitions in parallel scale better with larger chunks;
-# a larger scratch raises a worker's peak RSS.
-TILE_ELEMS = 1 << 16
+# (samples, rows) distance tile (256 KiB), and the feature-major copy of the
+# tile's rows and one (features, samples, rows) kernel chunk (1 MiB each).
+# Each kernel chunk and each tile costs a few GIL round trips, so threads
+# running partitions in parallel scale better with larger ones; a chunk
+# larger than the core's cache slows each pass, and a larger scratch raises
+# a worker's peak RSS.
+TILE_ELEMS = 1 << 15
 CHUNK_ELEMS = 1 << 17
+# Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get tiles and
+# chunks `LARGE_SCALE` times larger.  With more threads than cores, every
+# GIL round trip can leave a core idle, and a larger chunk makes fewer of
+# them per element.  One thread runs faster on the smaller, cache-resident
+# chunk, and the larger scratch is about half of a block at this size, so
+# smaller blocks keep the smaller caps.
+LARGE_BLOCK_ELEMS = 1 << 21
+LARGE_SCALE = 4
+# Rows a tile takes at least, while the block has them (about: tiles split
+# a block evenly): every kernel pass loops over a tile's rows innermost.
+TILE_MIN_ROWS = 2048
+# numpy's ufunc buffer, in elements, while the kernel runs.  With the
+# default (8192) numpy copies a broadcast operand into its buffer to join
+# short rows into longer loops, which costs more than the arithmetic.
+KERNEL_BUFSIZE = 1024
+_MAX_DIST = float(np.finfo(np.float64).max)
+# numpy's pairwise summation block: up to this many terms, eight partials
+_PAIRWISE_BLOCK = 128
+
+
+def tiling(p: int, m: int, a: int) -> tuple[int, int, int]:
+    """(rows, samples, chunk samples) of `offer_block`'s tiles for a block
+    of p rows, m samples and a features.
+
+    A tile spans `rows` rows of the block and `samples` samples; a kernel
+    chunk spans all of a tile's rows and `chunk samples` of its samples.
+    Tiles are wide in samples, so that the feature-major copy of a tile's
+    rows serves many samples, but no shorter than about `TILE_MIN_ROWS`
+    rows.  A tile holds at most `TILE_ELEMS` distances and a chunk at most
+    `CHUNK_ELEMS` diffs (one row's, if wider); both caps are `LARGE_SCALE`
+    times larger for a block of `LARGE_BLOCK_ELEMS` elements or more.
+    """
+    scale = LARGE_SCALE if p * a >= LARGE_BLOCK_ELEMS else 1
+    tile, chunk = scale * TILE_ELEMS, scale * CHUNK_ELEMS
+    rows = _even(p, min(max(tile // m, TILE_MIN_ROWS), max(1, chunk // a)))
+    g = _even(m, max(1, tile // rows))
+    return rows, g, _even(g, max(1, chunk // (a * rows)))
+
+
+def _even(n: int, cap: int) -> int:
+    """The part size when n is cut into as few parts of at most `cap` as
+    possible, with parts as equal as one common size allows: the last part
+    is short by fewer elements than there are parts."""
+    parts = -(-n // cap)
+    return -(-n // parts)
+
+
+def pairwise_sum(fm: np.ndarray, out: np.ndarray, partials: np.ndarray) -> None:
+    """Sum `fm` over its first axis into `out`, in numpy's pairwise order.
+
+    `fm` is (n, ...) and holds each cell's n terms in one column; the
+    result equals `.sum(axis=-1)` over the same terms laid out as rows, bit
+    for bit.  `fm` is scratch and is overwritten; `partials` is an
+    (8, ...) scratch buffer of the same trailing shape.
+    """
+    n = len(fm)
+    if out.size == 1:
+        # a lone cell: numpy reduces a single column with its own pairwise
+        # loop, which is the order to reproduce
+        np.add.reduce(fm.reshape(n), out=out.reshape(()))
+        return
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        pairwise_sum(fm[:half], fm[0], partials)
+        pairwise_sum(fm[half:], fm[half], partials)
+        np.add(fm[0], fm[half], out=out)
+        return
+    m8 = n - n % 8
+    if m8:
+        # eight partials r_j = f_j + f_{j+8} + ..., then their tree.  Each
+        # step writes a buffer it does not read, since numpy copies an
+        # operand that may overlap the output.  The tree's two halves land
+        # just before the tail features, so one sequential reduction adds
+        # them and then the tail, in numpy's order.
+        if m8 > 8:
+            np.add.reduce(fm[:m8].reshape(m8 // 8, *partials.shape), axis=0, out=partials)
+            eights, fours = partials, fm[m8 - 6 : m8 - 2]
+        else:
+            eights, fours = fm[:8], partials[:4]
+        np.add(eights[0::2], eights[1::2], out=fours)
+        np.add(fours[0::2], fours[1::2], out=fm[m8 - 2 : m8])
+        fm = fm[m8 - 2 :]
+    np.add.reduce(fm, axis=0, out=out)
 
 
 class NeighborHeap:
@@ -63,6 +172,15 @@ class NeighborHeap:
             heapq.heappush(self._heap, item)
         elif item[:2] > self._heap[0][:2]:
             heapq.heapreplace(self._heap, item)
+
+    def worst(self) -> tuple[float, int]:
+        """(distance, id) that a new entry must come before to enter: the
+        current worst entry's once full, else one past every finite
+        distance."""
+        if len(self._heap) < self.k:
+            return _MAX_DIST, 0
+        negd, negi = self._heap[0][:2]
+        return -negd, -negi
 
     def merge(self, other: "NeighborHeap") -> None:
         for negd, negi, label, values in other._heap:
@@ -107,15 +225,18 @@ class NeighborMatrix:
         """Offer every row of `block` to every cell, keeping at most k per cell.
 
         Distances fill a (samples, rows) tile for a group of samples and a
-        run of the block's rows: `feature_diffs` on (1, rows, a) kernel
-        chunks against the (g, 1, a) sample group, summed over the feature
-        axis.  Each sample's slab of a chunk is contiguous, so the kernel
-        costs the same per element whatever the group size.  A sample's own
-        row gets distance +inf, which excludes it by id.  Per class, one
-        `np.partition` along each sample's row of the tile finds its k-th
-        distance; every row at or below it is a candidate, so ties at the
-        k-th distance survive, and the candidates are sorted by (sample,
-        distance, id).  The first k of each sample go to the heap.
+        run of the block's rows (`tiling` gives the shapes).  The run is
+        copied feature-major once and serves every sample group.  A kernel
+        chunk is all of the run against a few samples, and is one
+        `feature_diffs` call: the (1, rows, a) source view of the copy
+        against the (g, 1, a) samples, written through a transposed view
+        into a contiguous (a, g, rows) buffer.  `pairwise_sum` then adds
+        the a feature planes into the tile in numpy's own summation order,
+        so each distance has the bits that `.sum(axis=-1)` gives over the
+        sample's row of diffs.  One call per chunk, not one per feature,
+        keeps the GIL round trips per element few.  A sample's own row gets
+        distance +inf, which excludes it by id.  Each class's rows of the
+        tile then go to `_offer_nearest`.
         """
         p, m, a = len(block), self.num_samples, block.values.shape[1]
         if p == 0 or m == 0:
@@ -128,45 +249,71 @@ class NeighborMatrix:
         found = by_id[np.searchsorted(ids, sample_ids, sorter=by_id).clip(max=p - 1)]
         self_row = np.where(ids[found] == sample_ids, found, -1)
 
-        g = min(m, max(1, TILE_ELEMS // p), max(1, CHUNK_ELEMS // a))
-        rows = min(p, TILE_ELEMS // g)
-        chunk = max(1, CHUNK_ELEMS // (g * a))
-        tile, kernel = np.empty(g * rows), np.empty(g * chunk * a)
-        for s0 in range(0, m, g):
-            group = sample_values[s0 : s0 + g, None, :]
-            width = len(group)
-            own = self_row[s0 : s0 + g]
+        rows, g, width = tiling(p, m, a)
+        tile, source = np.empty(g * rows), np.empty(a * rows)
+        kernel, partials = np.empty(a * width * rows), np.empty(8 * width * rows)
+        bufsize = np.setbufsize(KERNEL_BUFSIZE)
+        try:
             for r0 in range(0, p, rows):
                 r1 = min(r0 + rows, p)
-                dist = tile[: width * (r1 - r0)].reshape(width, r1 - r0)
-                for c0 in range(r0, r1, chunk):
-                    c1 = min(c0 + chunk, r1)
-                    out = kernel[: width * (c1 - c0) * a].reshape(width, c1 - c0, a)
-                    diffs = feature_diffs(values[None, c0:c1], group, numeric_mask, ranges, cfg, out)
-                    diffs.sum(axis=-1, out=dist[:, c0 - r0 : c1 - r0])
-                inside = np.flatnonzero((own >= r0) & (own < r1))
-                dist[inside, own[inside] - r0] = np.inf
-                for label, members in enumerate(class_rows):
-                    sel = members[np.searchsorted(members, r0) : np.searchsorted(members, r1)]
-                    if sel.size:
-                        self._offer_nearest(label, s0, dist[:, sel - r0], sel, block)
+                run = r1 - r0
+                fm_rows = source[: a * run].reshape(a, run)
+                np.copyto(fm_rows, values[r0:r1].T)
+                src = fm_rows.T[None]
+                for s0 in range(0, m, g):
+                    s1 = min(s0 + g, m)
+                    dist = tile[: (s1 - s0) * run].reshape(s1 - s0, run)
+                    for q0 in range(s0, s1, width):
+                        q1 = min(q0 + width, s1)
+                        cells = (q1 - q0) * run
+                        fm = kernel[: a * cells].reshape(a, q1 - q0, run)
+                        group = sample_values[q0:q1, None, :]
+                        feature_diffs(src, group, numeric_mask, ranges, cfg, fm.transpose(1, 2, 0))
+                        pairwise_sum(fm, dist[q0 - s0 : q1 - s0], partials[: 8 * cells].reshape(8, q1 - q0, run))
+                    own = self_row[s0:s1]
+                    inside = np.flatnonzero((own >= r0) & (own < r1))
+                    dist[inside, own[inside] - r0] = np.inf
+                    for label, members in enumerate(class_rows):
+                        sel = members[np.searchsorted(members, r0) : np.searchsorted(members, r1)]
+                        if sel.size:
+                            self._offer_nearest(label, s0, dist[:, sel - r0], sel, block)
+        finally:
+            np.setbufsize(bufsize)
 
     def _offer_nearest(self, label, s0, dist, sel, block) -> None:
         """Offer each sample's k nearest rows among `sel`, the class-`label`
         rows of `block`; column j of `dist` holds row `sel[j]`'s distances
-        to the samples from `s0` on."""
+        to the samples from `s0` on.
+
+        Only rows that can enter a cell are offered: at or below its worst
+        entry, and at that distance only with a smaller id.  While a cell is
+        not full, rows past each sample's k-th distance are cut first; ties
+        at the k-th distance survive.  The rest are sorted by (sample,
+        distance, id) and the first k of each sample go to the heap.
+        """
         k = self.k
-        keep = dist < np.inf
-        if len(sel) > k:
+        heaps = self.grid[label]
+        bound, worst_id = map(np.array, zip(*(heap.worst() for heap in heaps[s0 : s0 + len(dist)])))
+        # rows past a full cell's worst entry cannot enter it; the bound of a
+        # cell that is not full is finite, which drops the +inf own rows
+        keep = dist <= bound[:, None]
+        if len(sel) > k and (bound == _MAX_DIST).any():
+            # a cell that is not full yet takes any row: cut at the k-th first
             keep &= dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-        s_idx, at = np.nonzero(keep)
+        # one flat scan; `np.nonzero` on a 2-d mask costs over ten times more
+        hits = np.flatnonzero(keep)
+        if not hits.size:
+            return
+        s_idx, at = np.divmod(hits, keep.shape[1])
+        cand = block.ids[sel[at]]
+        # a row at a full cell's bound enters only on a smaller id
+        live = (dist[s_idx, at] < bound[s_idx]) | (cand < worst_id[s_idx])
+        s_idx, at, cand = s_idx[live], at[live], cand[live]
         d = dist[s_idx, at]
         rows = sel[at]
-        cand = block.ids[rows]
         by_key = np.lexsort((cand, d, s_idx))
         s_sorted = s_idx[by_key]
         top = by_key[np.arange(len(by_key)) - np.searchsorted(s_sorted, s_sorted) < k]
-        heaps = self.grid[label]
         for s, dd, iid, j in zip(s_idx[top].tolist(), d[top].tolist(), cand[top].tolist(), rows[top].tolist()):
             heaps[s0 + s].offer(dd, iid, label, block.values[j])
 

@@ -96,7 +96,9 @@ class TestNeighborMatrix:
         block, sample_block, mask, ranges = toy_matrix_inputs(n=40, a=3, c=3, m=5, seed=4)
         cfg = DiffConfig()
         via_block = NeighborMatrix(3, sample_block.ids, 4)
+        bufsize = np.getbufsize()
         via_block.offer_block(block, sample_block.values, mask, ranges, cfg)
+        assert np.getbufsize() == bufsize  # the kernel's buffer size is restored
         want = brute_force_entries(block, sample_block.ids, sample_block.values, mask, ranges, cfg, 3, 4)
         assert grid_entries(via_block) == want  # distances bit-identical
 
@@ -114,6 +116,24 @@ class TestNeighborMatrix:
         nn.offer_block(block, sample.values, mask, ranges, DiffConfig())
         got = [(d, i) for d, i, _, _ in nn.grid[0][0].sorted_entries()]
         assert got == [(0.0, 1), (1.0, 2)]
+
+    def test_blocks_offered_in_turn_equal_full_sort_of_union(self):
+        # the second block ties the first at every distance with smaller ids,
+        # so each of its rows enters a full cell at the cell's bound
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 2, size=(40, 3)).astype(np.float64)
+        labels = rng.integers(0, 2, size=40)
+        mask = np.ones(3, dtype=bool)
+        ranges = FeatureRange(np.zeros(3), np.ones(3), mask)
+        first = InstanceBlock(np.arange(100, 140), labels, values)
+        second = InstanceBlock(np.arange(0, 40), labels, values)
+        union = InstanceBlock(np.arange(0, 80), np.tile(labels, 2), np.tile(values, (2, 1)))
+        sample_ids, sample_values = [500, 501], values[:2] + 0.5
+        nn = NeighborMatrix(2, sample_ids, 4)
+        for block in (first, second):
+            nn.offer_block(block, sample_values, mask, ranges, DiffConfig())
+        want = brute_force_entries(union, sample_ids, sample_values, mask, ranges, DiffConfig(), 2, 4)
+        assert grid_entries(nn) == want
 
     def test_merge_partition_split_invariant(self):
         block, sample_block, mask, ranges = toy_matrix_inputs(n=30, a=2, c=2, m=4, seed=9)
@@ -163,7 +183,7 @@ def neighbor_inputs(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 60))
-    a = draw(st.integers(1, 5))
+    a = draw(st.integers(1, 40))
     num_classes = draw(st.integers(1, 4))
     k = draw(st.integers(1, 8))
     levels = draw(st.integers(2, 3))
@@ -202,34 +222,99 @@ class TestOfferBlockSelection:
         assert grid_entries(via_block) == want
 
     @pytest.mark.parametrize(
-        "rows_per_tile, m, a",
+        "n, m, a",
         [
-            # one sample per tile; the rows span two tiles, the last partial
-            (neighbors.TILE_ELEMS * 5 // 4, 2, 2),
-            # whole block in one tile; several sample groups, the last partial
-            (neighbors.TILE_ELEMS // 16, 37, 3),
+            # few samples: tall tiles, one sample per chunk, several row tiles
+            (neighbors.TILE_ELEMS * 5 // 4, 2, 5),
+            # many samples: short tiles, several sample groups, the last partial
+            (4096, 37, 3),
+            # a block just over LARGE_BLOCK_ELEMS: tiles and chunks LARGE_SCALE times larger
+            (neighbors.LARGE_BLOCK_ELEMS // 21 + 1, 3, 21),
         ],
     )
-    def test_multi_tile_block_matches_full_sort(self, rows_per_tile, m, a):
-        rng = np.random.default_rng(rows_per_tile + m)
-        n = rows_per_tile
+    def test_multi_tile_block_matches_full_sort(self, n, m, a):
+        rng = np.random.default_rng(n + m)
         values = rng.integers(0, 4, size=(n, a)).astype(np.float64)  # heavy ties
         mask = np.array([True] * (a - 1) + [False])
-        block = InstanceBlock(np.arange(n, dtype=np.int64) * 2, rng.integers(0, 3, size=n), values)
+        # shuffled ids: ties in later tiles can still win on a smaller id
+        block = InstanceBlock(rng.permutation(n).astype(np.int64) * 2, rng.integers(0, 3, size=n), values)
         pick = rng.choice(n, size=m, replace=False)
         sample_ids = np.concatenate([block.ids[pick[1:]], [2 * n + 1]])  # one outside
         sample_values = values[pick]
         ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
         cfg = DiffConfig()
-        g = min(m, max(1, neighbors.TILE_ELEMS // n), max(1, neighbors.CHUNK_ELEMS // a))
-        chunk = max(1, neighbors.CHUNK_ELEMS // (g * a))
-        # the case exercises several sample groups or row tiles, and chunks
-        assert m > g or n > neighbors.TILE_ELEMS
-        assert n > chunk
+        rows, g, width = neighbors.tiling(n, m, a)
+        # the case exercises several row tiles, and several sample groups or
+        # several kernel chunks per group
+        assert n > rows
+        assert m > g or g > width
+        if m > g:
+            assert m % g, "the last sample group should be partial"
         nn = NeighborMatrix(3, sample_ids, 5)
         nn.offer_block(block, sample_values, mask, ranges, cfg)
         want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, 3, 5)
         assert grid_entries(nn) == want
+
+    @pytest.mark.parametrize("a", [130, 257])
+    def test_wide_rows_match_full_sort(self, a):
+        # above 128 features numpy's pairwise sum splits and recurses
+        rng = np.random.default_rng(a)
+        n, m = 300, 7
+        values = rng.uniform(0, 1, size=(n, a)) * 10.0 ** rng.integers(-6, 6, size=a)
+        values[:, ::9] = rng.integers(0, 3, size=(n, len(range(0, a, 9))))
+        mask = np.ones(a, dtype=bool)
+        mask[::9] = False
+        block = InstanceBlock(np.arange(n, dtype=np.int64), rng.integers(0, 3, size=n), values)
+        pick = rng.choice(n, size=m, replace=False)
+        ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+        for cfg in (DiffConfig(), DiffConfig(DiffMode.RAMP, t_eq=0.1, t_diff=0.4)):
+            nn = NeighborMatrix(3, block.ids[pick], 4)
+            nn.offer_block(block, values[pick], mask, ranges, cfg)
+            want = brute_force_entries(block, block.ids[pick], values[pick], mask, ranges, cfg, 3, 4)
+            assert grid_entries(nn) == want
+
+    @pytest.mark.parametrize("a", [7, 14, 15, 23, 31, 139])
+    def test_single_cell_block_matches_full_sort(self, a):
+        # one row against one sample: each kernel chunk holds a single cell
+        rng = np.random.default_rng(a)
+        values = rng.uniform(0, 1, size=(2, a)) * 10.0 ** rng.integers(-6, 6, size=(2, a))
+        mask = np.ones(a, dtype=bool)
+        block = InstanceBlock(np.array([3], dtype=np.int64), np.array([0]), values[:1])
+        ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+        nn = NeighborMatrix(1, [9], 1)
+        nn.offer_block(block, values[1:], mask, ranges, DiffConfig())
+        want = brute_force_entries(block, [9], values[1:], mask, ranges, DiffConfig(), 1, 1)
+        assert grid_entries(nn) == want
+
+
+class TestPairwiseOrder:
+    """`pairwise_sum` must add in the order numpy's own row sum uses; a numpy
+    release that changes that order must fail here, not change weights."""
+
+    FEATURE_COUNTS = [*range(1, 140), 200, 257, 1000]
+
+    @pytest.mark.parametrize("bufsize", [np.getbufsize(), neighbors.KERNEL_BUFSIZE])
+    def test_matches_row_sum_bit_for_bit(self, bufsize):
+        rng = np.random.default_rng(2024)
+        failed = []
+        for a in self.FEATURE_COUNTS:
+            # (samples, rows) planes of 3 x 5 cells, and lone cells
+            for shape in ((3, 5), (1, 1)):
+                rows = rng.uniform(1, 10, size=(*shape, a)) * 10.0 ** rng.integers(-6, 6, size=(*shape, a))
+                want = rows.sum(axis=-1)
+                fm = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+                got = np.empty(shape)
+                before = np.setbufsize(bufsize)
+                try:
+                    neighbors.pairwise_sum(fm, got, np.empty((8, *shape)))
+                finally:
+                    np.setbufsize(before)
+                if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+                    failed.append((a, shape))
+        assert not failed, (
+            f"pairwise_sum no longer matches .sum(axis=-1) on numpy {np.__version__} "
+            f"for (features, cells) {failed[:5]}: its summation order must follow this numpy"
+        )
 
 
 class TestMatrixDecode:

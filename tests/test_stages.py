@@ -38,6 +38,20 @@ class TestRangesStage:
         assert np.array_equal(mins, block.values.min(axis=0))
         assert np.array_equal(maxs, block.values.max(axis=0))
 
+    @pytest.mark.parametrize("rows", [1, 5, 15, 16, 17, 32, 47, 250])
+    def test_folded_rows_equal_row_by_row(self, rows):
+        # fewer than 16 rows, whole groups of 16, and a remainder
+        rng = np.random.default_rng(rows)
+        values = rng.normal(size=(rows, 7)) * 10.0 ** rng.integers(-3, 4, size=(rows, 7))
+        values[:, 3] = rng.choice([-0.0, 0.0], size=rows)  # both zeros in one column
+        schema, _ = random_mixed_block(rng, n=2, a_num=7, a_nom=0, c=2)
+        block = InstanceBlock(np.arange(rows), np.zeros(rows, dtype=np.int32), values)
+        mins, maxs = RANGES.run_block(RANGES.make_zero(schema, None), block, None, schema, 0)
+        # equal under ==; a column of mixed zeros may keep either sign
+        assert (mins == values.min(axis=0)).all()
+        assert (maxs == values.max(axis=0)).all()
+        assert mins[3] == 0.0 and maxs[3] == 0.0
+
     def test_comb_is_elementwise_minmax(self, dataset):
         schema, block = dataset
         cut = len(block) // 2
