@@ -306,7 +306,7 @@ class TestPairwiseOrder:
                 got = np.empty(shape)
                 before = np.setbufsize(bufsize)
                 try:
-                    neighbors.pairwise_sum(fm, got, np.empty((8, *shape)))
+                    neighbors.pairwise_sum(fm, got, np.empty((4, *shape)))
                 finally:
                     np.setbufsize(before)
                 if not np.array_equal(got.view(np.int64), want.view(np.int64)):
