@@ -5,15 +5,16 @@ unique, so the order is total and every top-k set is unique.  That is what
 makes the search reproducible: any sequence of offers, in any grouping or
 order, yields the same k survivors.
 
-`NeighborMatrix` is the accumulator for the neighbour stage: one bounded
-heap per (class, sample) cell, filled from instance blocks by `offer_block`
-and merged across partitions.  A block is filled tile by tile: a tile holds
-the distances from a group of samples to a run of the block's rows.  The
-run is first copied feature-major, (features, rows), so that every later
-pass reads and writes whole contiguous rows of one feature.  The tile is
-then filled one kernel chunk at a time: one `feature_diffs` call writes a
-chunk's diffs feature-major into a (features, samples, rows) buffer, and
-`pairwise_sum` adds its feature planes into the tile.
+`NeighborMatrix` is the accumulator for the neighbour stage: dense
+(class, sample, k) arrays of each cell's k best entries, filled from
+instance blocks by `offer_block` and merged across partitions.  A block is
+filled tile by tile: a tile holds the distances from a group of samples to
+a run of the block's rows.  The run is first copied feature-major,
+(features, rows), so that every later pass reads and writes whole
+contiguous rows of one feature.  The tile is then filled one kernel chunk
+at a time: one `feature_diffs` call writes a chunk's diffs feature-major
+into a (features, samples, rows) buffer, and `pairwise_sum` adds its
+feature planes into the tile.
 
 The sum must keep the bits that `.sum(axis=-1)` gives over a row of
 features, since the distances decide the neighbours and the weights.  numpy
@@ -36,26 +37,22 @@ Per class, a row can enter a cell only at or below the cell's current
 worst entry, so most rows of a tile are dropped by one comparison against
 the cells' bounds.  While a cell is not yet full, one `np.partition` along
 each sample's row of the tile first cuts the rows at its k-th distance.
-The survivors are sorted by (sample, distance, id) and the first k of each
-sample go to the heap.  `tiling` bounds the tile, the feature-major copy
-and the chunk, so the scratch does not grow with the sample count times the
-partition size.
+The survivors and their cells' current entries are sorted together by
+(sample, distance, id), and the first k of each sample are written back.
+`tiling` bounds the tile, the feature-major copy and the chunk, so the
+scratch does not grow with the sample count times the partition size.
 """
 
 from __future__ import annotations
-
-import heapq
-import struct
 
 import numpy as np
 
 from .model import DiffConfig, FeatureRange, InstanceBlock, feature_diffs
 
-__all__ = ["NeighborHeap", "NeighborMatrix", "pairwise_sum", "tiling"]
+__all__ = ["NeighborMatrix", "pairwise_sum", "tiling"]
 
-_ENTRY_HEAD = struct.Struct("!dqi")  # distance, neighbour id, class id
-_CELL_HEAD = struct.Struct("!i")
-_MATRIX_HEAD = struct.Struct("!iiii")  # classes, samples, k, features
+# wire types of `NeighborMatrix.encode`: header, counts, distances, ids, rows
+_WIRE_CODES = (">i4", ">i4", ">f8", ">i8", ">f8")
 
 # Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
 # (samples, rows) distance tile (256 KiB), and the feature-major copy of the
@@ -155,70 +152,44 @@ def pairwise_sum(fm: np.ndarray, out: np.ndarray, fours: np.ndarray) -> None:
     np.add.reduce(fm, axis=0, out=out)
 
 
-class NeighborHeap:
-    """Keeps the k best entries under ascending (distance, id).
-
-    Internally a heap of (-distance, -id, label, values) tuples, so the
-    root is always the current worst; ids are unique, so comparisons never
-    reach the array payload.
-    """
-
-    __slots__ = ("k", "_heap")
-
-    def __init__(self, k: int):
-        self.k = k
-        self._heap: list = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def offer(self, dist: float, iid: int, label: int, values: np.ndarray) -> None:
-        item = (-dist, -iid, label, values)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, item)
-        elif item[:2] > self._heap[0][:2]:
-            heapq.heapreplace(self._heap, item)
-
-    def worst(self) -> tuple[float, int]:
-        """(distance, id) that a new entry must come before to enter: the
-        current worst entry's once full, else one past every finite
-        distance."""
-        if len(self._heap) < self.k:
-            return _MAX_DIST, 0
-        negd, negi = self._heap[0][:2]
-        return -negd, -negi
-
-    def merge(self, other: "NeighborHeap") -> None:
-        for negd, negi, label, values in other._heap:
-            self.offer(-negd, -negi, label, values)
-
-    def sorted_entries(self) -> list:
-        """Entries as (distance, id, label, values), ascending (distance, id)."""
-        items = sorted(self._heap, key=lambda e: e[:2], reverse=True)
-        return [(-negd, -negi, label, values) for negd, negi, label, values in items]
-
-
 class NeighborMatrix:
-    """Per (class, sample) bounded heaps over a dataset's instances.
+    """Per (class, sample) cell, the k nearest instances, in dense arrays.
 
     Cell (C, i) collects the k nearest class-C instances to sample i,
-    excluding the sample itself by id.  Filling is associative and
-    commutative: partitions can be folded independently and merged.
+    excluding the sample itself by id.  Its `count[C, i]` filled slots hold
+    the distances `dist[C, i, :count]`, ids `ids[C, i, :count]` and rows
+    `values[C, i, :count]`, in ascending (distance, id) order; every entry
+    of the cell has class C, so no label is stored.  An unfilled slot holds
+    distance `_MAX_DIST`, so a cell's last slot is the bound a new entry
+    must come before.  Filling is associative and commutative: partitions
+    can be folded independently and merged.
     """
 
-    def __init__(self, num_classes: int, sample_ids, k: int):
+    def __init__(self, num_classes: int, sample_ids, k: int, num_features: int):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         self.num_classes = num_classes
-        self.sample_ids = list(sample_ids)
+        self.sample_ids = np.asarray(sample_ids, dtype=np.int64)
         self.k = k
-        self.grid = [
-            [NeighborHeap(k) for _ in self.sample_ids] for _ in range(num_classes)
-        ]
+        # allocated here and only written in place: `_slots` views them flat
+        shape = (num_classes, len(self.sample_ids), k)
+        self.dist = np.full(shape, _MAX_DIST)
+        self.ids = np.zeros(shape, dtype=np.int64)
+        self.values = np.zeros((*shape, num_features))
+        self.count = np.zeros(shape[:2], dtype=np.int64)
 
     @property
     def num_samples(self) -> int:
         return len(self.sample_ids)
 
-    # -- filling ----------------------------------------------------------
+    @property
+    def grid(self) -> list:
+        """`grid[C][i]` is cell (C, i)'s filled distances, one view per cell."""
+        return [[d[:n] for d, n in zip(dc, nc)] for dc, nc in zip(self.dist, self.count.tolist())]
+
+    def filled(self) -> np.ndarray:
+        """(classes, samples, k) mask of the filled slots."""
+        return np.arange(self.k) < self.count[..., None]
 
     def offer_block(
         self,
@@ -250,10 +221,9 @@ class NeighborMatrix:
         ids, labels, values = block.ids, block.labels, block.values
         class_rows = [np.flatnonzero(labels == label) for label in range(self.num_classes)]
         # row of each sample's own instance in the block; -1 if absent
-        sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
         by_id = np.argsort(ids)
-        found = by_id[np.searchsorted(ids, sample_ids, sorter=by_id).clip(max=p - 1)]
-        self_row = np.where(ids[found] == sample_ids, found, -1)
+        found = by_id[np.searchsorted(ids, self.sample_ids, sorter=by_id).clip(max=p - 1)]
+        self_row = np.where(ids[found] == self.sample_ids, found, -1)
 
         rows, g, width = tiling(p, m, a)
         tile, source = np.empty(g * rows), np.empty(a * rows)
@@ -287,19 +257,20 @@ class NeighborMatrix:
             np.setbufsize(bufsize)
 
     def _offer_nearest(self, label, s0, dist, sel, block) -> None:
-        """Offer each sample's k nearest rows among `sel`, the class-`label`
-        rows of `block`; column j of `dist` holds row `sel[j]`'s distances
-        to the samples from `s0` on.
+        """Add each sample's k nearest rows among `sel`, the class-`label`
+        rows of `block`, to its cell; column j of `dist` holds row `sel[j]`'s
+        distances to the samples from `s0` on.
 
-        Only rows that can enter a cell are offered: at or below its worst
-        entry, and at that distance only with a smaller id.  While a cell is
-        not full, rows past each sample's k-th distance are cut first; ties
-        at the k-th distance survive.  The rest are sorted by (sample,
-        distance, id) and the first k of each sample go to the heap.
+        Only rows that can enter a cell are taken: at or below its last
+        slot's distance, and at that distance only with a smaller id.  While
+        a cell is not full, rows past each sample's k-th distance are cut
+        first; ties at the k-th distance survive.  The candidates and the
+        current entries of their cells are sorted together by (sample,
+        distance, id), and the first k of each sample are written back.
         """
         k = self.k
-        heaps = self.grid[label]
-        bound, worst_id = map(np.array, zip(*(heap.worst() for heap in heaps[s0 : s0 + len(dist)])))
+        cells = slice(s0, s0 + len(dist))
+        bound, worst_id = self.dist[label, cells, k - 1], self.ids[label, cells, k - 1]
         # rows past a full cell's worst entry cannot enter it; the bound of a
         # cell that is not full is finite, which drops the +inf own rows
         keep = dist <= bound[:, None]
@@ -315,56 +286,85 @@ class NeighborMatrix:
         # a row at a full cell's bound enters only on a smaller id
         live = (dist[s_idx, at] < bound[s_idx]) | (cand < worst_id[s_idx])
         s_idx, at, cand = s_idx[live], at[live], cand[live]
-        d = dist[s_idx, at]
-        rows = sel[at]
-        by_key = np.lexsort((cand, d, s_idx))
-        s_sorted = s_idx[by_key]
-        top = by_key[np.arange(len(by_key)) - np.searchsorted(s_sorted, s_sorted) < k]
-        for s, dd, iid, j in zip(s_idx[top].tolist(), d[top].tolist(), cand[top].tolist(), rows[top].tolist()):
-            heaps[s0 + s].offer(dd, iid, label, block.values[j])
+        if not s_idx.size:
+            return
+        # the cells offered to: their current entries, then the candidates
+        offered = np.bincount(s_idx)  # candidates per sample
+        touched = s0 + np.flatnonzero(offered)
+        n_held = self.count[label, touched]
+        held = np.arange(k) < n_held[:, None]
+        s_all = np.concatenate([np.repeat(touched, n_held), s0 + s_idx])
+        d_all = np.concatenate([self.dist[label, touched][held], dist[s_idx, at]])
+        i_all = np.concatenate([self.ids[label, touched][held], cand])
+        v_all = np.concatenate([self.values[label, touched][held], block.values[sel[at]]])
+        by_key = np.lexsort((i_all, d_all, s_all))
+        s_sorted = s_all[by_key]
+        slot = np.arange(len(by_key)) - np.searchsorted(s_sorted, s_sorted)
+        top = slot < k
+        kept = by_key[top]
+        to = (label * self.num_samples + s_sorted[top]) * k + slot[top]
+        to_d, to_i, to_v = self._slots()
+        to_d[to], to_i[to], to_v[to] = d_all[kept], i_all[kept], v_all[kept]
+        self.count[label, touched] = np.minimum(n_held + offered[touched - s0], k)
 
     def merge(self, other: "NeighborMatrix") -> "NeighborMatrix":
-        for c in range(self.num_classes):
-            mine, theirs = self.grid[c], other.grid[c]
-            for s_idx in range(self.num_samples):
-                mine[s_idx].merge(theirs[s_idx])
+        """Keep each cell's k best entries of the two matrices' union."""
+        k = self.k
+        held = np.concatenate([self.filled(), other.filled()], axis=2)
+        dist = np.concatenate([self.dist, other.dist], axis=2)
+        ids = np.concatenate([self.ids, other.ids], axis=2)
+        values = np.concatenate([self.values, other.values], axis=2)
+        # per cell: filled slots first, each in ascending (distance, id); the
+        # first k as slot numbers of the joined arrays, flat in cell order
+        best = np.lexsort((ids, dist, ~held), axis=2)[..., :k]
+        best += 2 * k * np.arange(self.count.size).reshape(*self.count.shape, 1)
+        best = best.reshape(-1)
+        # "clip" (`best` is in range) lets `take` write into `out` with no
+        # temporary copy, which would be the driver's peak memory
+        for to, joined in zip(self._slots(), (dist, ids, values)):
+            np.take(joined.reshape(2 * len(to), *to.shape[1:]), best, axis=0, out=to, mode="clip")
+        self.count[...] = np.minimum(self.count + other.count, k)
         return self
 
-    # -- wire format --------------------------------------------------------
+    def _slots(self) -> tuple:
+        """Flat views of `dist`, `ids` and `values`: one slot per row, in cell order."""
+        slots = self.dist.size
+        return self.dist.reshape(slots), self.ids.reshape(slots), self.values.reshape(slots, self.values.shape[3])
 
-    def encode(self, num_features: int) -> bytes:
-        parts = [
-            _MATRIX_HEAD.pack(self.num_classes, self.num_samples, self.k, num_features)
-        ]
-        for row in self.grid:
-            for heap in row:
-                entries = heap.sorted_entries()
-                parts.append(_CELL_HEAD.pack(len(entries)))
-                for dist, iid, label, vals in entries:
-                    parts.append(_ENTRY_HEAD.pack(dist, iid, label))
-                    parts.append(vals.astype(">f8").tobytes())
-        return b"".join(parts)
+    def encode(self) -> bytes:
+        """Header (classes, samples, k, features), then each cell's fill
+        count, then the filled entries in cell order: their distances, ids
+        and rows, all big-endian."""
+        held = self.filled()
+        head = np.array([self.num_classes, self.num_samples, self.k, self.values.shape[3]])
+        parts = (head, self.count, self.dist[held], self.ids[held], self.values[held])
+        return b"".join(x.astype(code).tobytes() for x, code in zip(parts, _WIRE_CODES))
 
     @classmethod
-    def decode(cls, buf: bytes, sample_ids) -> "NeighborMatrix":
-        num_classes, num_samples, k, a = _MATRIX_HEAD.unpack_from(buf, 0)
-        if num_samples != len(sample_ids):
-            raise ValueError("sample count mismatch in encoded neighbour matrix")
-        out = cls(num_classes, sample_ids, k)
-        at = _MATRIX_HEAD.size
-        for c in range(num_classes):
-            for s_idx in range(num_samples):
-                (count,) = _CELL_HEAD.unpack_from(buf, at)
-                at += _CELL_HEAD.size
-                heap = out.grid[c][s_idx]
-                for _ in range(count):
-                    dist, iid, label = _ENTRY_HEAD.unpack_from(buf, at)
-                    at += _ENTRY_HEAD.size
-                    vals = np.frombuffer(buf, dtype=">f8", count=a, offset=at).astype(
-                        np.float64
-                    )
-                    at += 8 * a
-                    heap.offer(dist, iid, label, vals)
-        if at != len(buf):
-            raise ValueError(f"{len(buf) - at} trailing bytes after encoded neighbour matrix")
+    def decode(cls, buf: bytes, sample_ids, num_classes: int, k: int, num_features: int) -> "NeighborMatrix":
+        """The matrix `encode` wrote, for the expected classes, samples, k
+        and features; ValueError on any other shape, a count outside [0, k],
+        a length that does not match the counts, a distance that is not
+        finite, or a cell out of ascending (distance, id) order."""
+        # np.frombuffer raises ValueError when the buffer is too short
+        head = tuple(np.frombuffer(buf, dtype=">i4", count=4).tolist())
+        want = (num_classes, len(sample_ids), k, num_features)
+        if head != want:
+            raise ValueError(f"neighbour matrix (classes, samples, k, features) is {head}, expected {want}")
+        out = cls(num_classes, sample_ids, k, num_features)
+        count = np.frombuffer(buf, dtype=">i4", count=out.count.size, offset=16)
+        if ((count < 0) | (count > k)).any():
+            raise ValueError(f"neighbour matrix cell count outside [0, {k}]")
+        out.count.flat = count
+        n, at = int(out.count.sum()), 16 + 4 * out.count.size
+        if len(buf) - at != n * 8 * (2 + num_features):
+            raise ValueError(f"neighbour matrix of {n} entries has {len(buf) - at} bytes of entries")
+        held = out.filled()
+        out.dist[held] = np.frombuffer(buf, ">f8", n, at)
+        out.ids[held] = np.frombuffer(buf, ">i8", n, at + 8 * n)
+        out.values[held] = np.frombuffer(buf, ">f8", n * num_features, at + 16 * n).reshape(n, num_features)
+        d, i = out.dist, out.ids
+        ordered = (d[..., :-1] < d[..., 1:]) | ((d[..., :-1] == d[..., 1:]) & (i[..., :-1] < i[..., 1:]))
+        if not np.isfinite(d[held]).all() or (held[..., 1:] & ~ordered).any():
+            raise ValueError("neighbour matrix has a distance not finite or not in ascending (distance, id) order")
         return out

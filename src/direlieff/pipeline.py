@@ -2,9 +2,9 @@
 
 Six steps over a partitioned dataset: global feature ranges, class priors,
 sample draw, one fold pass filling the per-(class, sample) neighbour
-heaps, the per-feature average-difference matrix, and the weight formula.
-Everything after the neighbour pass runs on the driver: the heap matrix is
-c*m cells, small regardless of n.
+matrix, the per-feature average-difference matrix, and the weight formula.
+Everything after the neighbour pass runs on the driver: the neighbour
+matrix is c*m cells of at most k entries, small regardless of n.
 
 The heavy stages run through an engine (local pool or TCP cluster); both
 expose the same stage interface, and all result combining happens on the
@@ -99,10 +99,10 @@ def find_neighbors(
     k: int,
     cfg: DiffConfig,
 ) -> NeighborMatrix:
-    """Single fold pass filling every (class, sample) neighbour heap.
+    """Single fold pass filling every (class, sample) neighbour cell.
 
     Distances are computed on the fly inside the fold and never stored as a
-    dataset; only the bounded heaps travel back to the driver.
+    dataset; only the bounded neighbour matrix travels back to the driver.
     """
     params = NeighborParams.build(ds.schema, samples, k, ranges, cfg)
     return engine.run_stage(ds, NEIGHBORS, params)
@@ -120,24 +120,24 @@ def compute_sdif(
     """Per-(class, sample) average feature differences, shape (c, m, a).
 
     Cell (C, i, A) is the mean diff of feature A between sample i and its
-    selected class-C neighbours.  The divisor is the fixed k unless
-    `average_by_found` asks for the actual neighbour count.  Runs on the
-    driver; the matrix is small.
+    selected class-C neighbours, summed in ascending (distance, id) order.
+    The divisor is the fixed k unless `average_by_found` asks for the
+    actual neighbour count; a cell with no neighbours is 0.  Runs on the
+    driver, over all cells at once; the matrix is small.
     """
-    c, m = nn.num_classes, nn.num_samples
-    a = len(numeric_mask)
-    sdif = np.zeros((c, m, a))
-    for ci in range(c):
-        row = nn.grid[ci]
-        for i in range(m):
-            entries = row[i].sorted_entries()
-            if not entries:
-                continue
-            vals = np.stack([values for _, _, _, values in entries])
-            diffs = feature_diffs(vals, samples.values[i], numeric_mask, ranges, cfg)
-            divisor = len(entries) if average_by_found else k
-            sdif[ci, i] = diffs.sum(axis=0) / divisor
-    return sdif
+    count = nn.count
+    diffs = feature_diffs(nn.values, samples.values[None, :, None, :], numeric_mask, ranges, cfg)
+    # an unfilled slot adds +0.0: every diff is >= +0.0, so the sums keep their bits
+    diffs[~nn.filled()] = 0.0
+    sums = diffs.sum(axis=2)
+    if len(numeric_mask) == 1:
+        # numpy adds a lone column pairwise, in an order set by its length:
+        # a short cell is summed over its own entries, as one cell alone is
+        for n in np.unique(count[(count > 0) & (count < nn.k)]).tolist():
+            sums[count == n] = diffs[count == n][:, :n].sum(axis=1)
+    if not average_by_found:
+        return sums / k
+    return np.divide(sums, count[..., None], out=np.zeros_like(sums), where=count[..., None] > 0)
 
 
 def compute_weights(

@@ -7,9 +7,9 @@ instances of that class (misses); subtract averaged hit differences and add
 prior-weighted averaged miss differences, feature by feature.
 
 Neighbour selection here is a full sort per class rather than the bounded
-heaps the parallel path uses; both honour the same (distance, id) order and
-id-based self-exclusion, so agreement between the two is a meaningful check
-of the heap machinery.
+neighbour matrix the parallel path fills; both honour the same (distance,
+id) order and id-based self-exclusion, so agreement between the two is a
+meaningful check of the matrix's selection and merging.
 """
 
 from __future__ import annotations

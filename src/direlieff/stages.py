@@ -241,12 +241,12 @@ class NeighborParams:
 
 
 class NeighborsStage(Stage):
-    """Fills the per-(class, sample) nearest-neighbour heaps."""
+    """Fills the per-(class, sample) nearest-neighbour matrix."""
 
     name = "neighbors"
 
     def make_zero(self, schema, params):
-        return NeighborMatrix(schema.num_classes, params.samples.ids, params.k)
+        return NeighborMatrix(schema.num_classes, params.samples.ids, params.k, schema.num_features)
 
     def run_block(self, acc, block, params, schema, partition_index):
         acc.offer_block(block, params.samples.values, params.numeric_mask, params.ranges, params.cfg)
@@ -295,10 +295,10 @@ class NeighborsStage(Stage):
         )
 
     def encode_result(self, result, schema):
-        return result.encode(schema.num_features)
+        return result.encode()
 
     def decode_result(self, buf, schema, params):
-        return NeighborMatrix.decode(buf, params.samples.ids)
+        return NeighborMatrix.decode(buf, params.samples.ids, schema.num_classes, params.k, schema.num_features)
 
 
 RANGES = RangesStage()

@@ -52,9 +52,17 @@ def random_mixed_block(rng: np.random.Generator, n: int, a_num: int, a_nom: int,
 
 
 def grid_entries(nn):
+    """Per (class, sample): the cell's filled slots as (distance, id, class,
+    row bytes), in slot order."""
     return [
-        [[(d, i, l, v.tobytes()) for d, i, l, v in heap.sorted_entries()] for heap in row]
-        for row in nn.grid
+        [
+            [
+                (float(nn.dist[c, i, j]), int(nn.ids[c, i, j]), c, nn.values[c, i, j].tobytes())
+                for j in range(nn.count[c, i])
+            ]
+            for i in range(nn.num_samples)
+        ]
+        for c in range(nn.num_classes)
     ]
 
 

@@ -1,6 +1,4 @@
-"""Bounded neighbour heaps: selection order, merging, and wire format."""
-
-import struct
+"""The dense neighbour matrix: selection order, merging, and wire format."""
 
 import numpy as np
 import pytest
@@ -10,67 +8,46 @@ from hypothesis import strategies as st
 from _support import brute_force_entries, grid_entries
 from direlieff import neighbors
 from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock
-from direlieff.neighbors import NeighborHeap, NeighborMatrix
+from direlieff.neighbors import NeighborMatrix
+
+# one numeric feature on [0, 1]: a row's distance to a sample at 0.0 is its value
+UNIT_MASK = np.ones(1, dtype=bool)
+UNIT_RANGE = FeatureRange(np.zeros(1), np.ones(1), UNIT_MASK)
 
 
-def offers(entries):
-    """entries: list of (dist, id) pairs with a dummy payload."""
-    heap = NeighborHeap(k=3)
+def offers(entries, k=3):
+    """One cell offered each (distance, id) pair as its own one-row block."""
+    nn = NeighborMatrix(1, [10**6], k, 1)
     for dist, iid in entries:
-        heap.offer(dist, iid, 0, np.array([float(iid)]))
-    return heap
+        block = InstanceBlock([iid], [0], [[dist]])
+        nn.offer_block(block, np.zeros((1, 1)), UNIT_MASK, UNIT_RANGE, DiffConfig())
+    return nn
 
 
-def keys(heap):
-    return [(d, i) for d, i, _, _ in heap.sorted_entries()]
+def keys(nn):
+    return [(d, i) for d, i, _, _ in grid_entries(nn)[0][0]]
 
 
-class TestNeighborHeap:
+class TestCellOrder:
     def test_keeps_k_smallest(self):
-        heap = offers([(5.0, 1), (1.0, 2), (3.0, 3), (2.0, 4), (4.0, 5)])
-        assert keys(heap) == [(1.0, 2), (2.0, 4), (3.0, 3)]
+        nn = offers([(0.5, 1), (0.1, 2), (0.3, 3), (0.2, 4), (0.4, 5)])
+        assert keys(nn) == [(0.1, 2), (0.2, 4), (0.3, 3)]
 
     def test_under_capacity_keeps_all(self):
-        heap = offers([(9.0, 1), (8.0, 2)])
-        assert keys(heap) == [(8.0, 2), (9.0, 1)]
+        nn = offers([(0.9, 1), (0.8, 2)])
+        assert keys(nn) == [(0.8, 2), (0.9, 1)]
+        assert nn.count[0, 0] == 2
+        assert nn.dist[0, 0, 2] == np.finfo(np.float64).max  # the open slot
 
     def test_distance_tie_prefers_smaller_id(self):
-        heap = offers([(1.0, 10), (1.0, 5), (1.0, 7), (1.0, 2)])
-        assert keys(heap) == [(1.0, 2), (1.0, 5), (1.0, 7)]
+        nn = offers([(0.1, 10), (0.1, 5), (0.1, 7), (0.1, 2)])
+        assert keys(nn) == [(0.1, 2), (0.1, 5), (0.1, 7)]
 
     def test_boundary_tie_not_replaced(self):
-        # equal distance to current worst, larger id: incumbent stays
-        heap = offers([(1.0, 1), (2.0, 2), (3.0, 3)])
-        heap.offer(3.0, 9, 0, np.array([9.0]))
-        assert keys(heap) == [(1.0, 1), (2.0, 2), (3.0, 3)]
-        heap.offer(3.0, 2, 0, np.array([2.0]))  # smaller id wins the tie
-        assert keys(heap) == [(1.0, 1), (2.0, 2), (3.0, 2)]
-
-    @given(
-        entries=st.lists(
-            st.tuples(st.floats(0, 100, allow_nan=False), st.integers(0, 10_000)),
-            max_size=40,
-            unique_by=lambda t: t[1],
-        ),
-        k=st.integers(1, 8),
-        split=st.integers(0, 40),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_sort_oracle_and_merge_is_grouping_free(self, entries, k, split):
-        expected = sorted(entries)[:k]
-
-        whole = NeighborHeap(k)
-        for dist, iid in entries:
-            whole.offer(dist, iid, 0, np.array([float(iid)]))
-        assert [(d, i) for d, i, _, _ in whole.sorted_entries()] == expected
-
-        left, right = NeighborHeap(k), NeighborHeap(k)
-        for dist, iid in entries[:split]:
-            left.offer(dist, iid, 0, np.array([float(iid)]))
-        for dist, iid in entries[split:]:
-            right.offer(dist, iid, 0, np.array([float(iid)]))
-        left.merge(right)
-        assert [(d, i) for d, i, _, _ in left.sorted_entries()] == expected
+        # equal distance to the current worst, larger id: the incumbent stays
+        assert keys(offers([(0.1, 1), (0.2, 2), (0.3, 3), (0.3, 9)])) == [(0.1, 1), (0.2, 2), (0.3, 3)]
+        # a smaller id wins the tie
+        assert keys(offers([(0.1, 1), (0.2, 4), (0.3, 3), (0.3, 2)])) == [(0.1, 1), (0.2, 4), (0.3, 2)]
 
 
 def toy_matrix_inputs(n=12, a=2, c=2, m=3, seed=0):
@@ -95,7 +72,7 @@ class TestNeighborMatrix:
         # the reference sorts every instance's distance to each sample
         block, sample_block, mask, ranges = toy_matrix_inputs(n=40, a=3, c=3, m=5, seed=4)
         cfg = DiffConfig()
-        via_block = NeighborMatrix(3, sample_block.ids, 4)
+        via_block = NeighborMatrix(3, sample_block.ids, 4, 3)
         bufsize = np.getbufsize()
         via_block.offer_block(block, sample_block.values, mask, ranges, cfg)
         assert np.getbufsize() == bufsize  # the kernel's buffer size is restored
@@ -112,9 +89,9 @@ class TestNeighborMatrix:
         mask = np.ones(1, dtype=bool)
         ranges = FeatureRange(np.array([1.0]), np.array([5.0]), mask)
         sample = block.slice(0, 1)
-        nn = NeighborMatrix(1, sample.ids, k=2)
+        nn = NeighborMatrix(1, sample.ids, 2, 1)
         nn.offer_block(block, sample.values, mask, ranges, DiffConfig())
-        got = [(d, i) for d, i, _, _ in nn.grid[0][0].sorted_entries()]
+        got = [(d, i) for d, i, _, _ in grid_entries(nn)[0][0]]
         assert got == [(0.0, 1), (1.0, 2)]
 
     def test_blocks_offered_in_turn_equal_full_sort_of_union(self):
@@ -129,7 +106,7 @@ class TestNeighborMatrix:
         second = InstanceBlock(np.arange(0, 40), labels, values)
         union = InstanceBlock(np.arange(0, 80), np.tile(labels, 2), np.tile(values, (2, 1)))
         sample_ids, sample_values = [500, 501], values[:2] + 0.5
-        nn = NeighborMatrix(2, sample_ids, 4)
+        nn = NeighborMatrix(2, sample_ids, 4, 3)
         for block in (first, second):
             nn.offer_block(block, sample_values, mask, ranges, DiffConfig())
         want = brute_force_entries(union, sample_ids, sample_values, mask, ranges, DiffConfig(), 2, 4)
@@ -138,48 +115,36 @@ class TestNeighborMatrix:
     def test_merge_partition_split_invariant(self):
         block, sample_block, mask, ranges = toy_matrix_inputs(n=30, a=2, c=2, m=4, seed=9)
         cfg = DiffConfig()
-        whole = NeighborMatrix(2, sample_block.ids, 3)
+        whole = NeighborMatrix(2, sample_block.ids, 3, 2)
         whole.offer_block(block, sample_block.values, mask, ranges, cfg)
         for cut in (1, 10, 15, 29):
-            left = NeighborMatrix(2, sample_block.ids, 3)
+            left = NeighborMatrix(2, sample_block.ids, 3, 2)
             left.offer_block(block.slice(0, cut), sample_block.values, mask, ranges, cfg)
-            right = NeighborMatrix(2, sample_block.ids, 3)
+            right = NeighborMatrix(2, sample_block.ids, 3, 2)
             right.offer_block(block.slice(cut, 30), sample_block.values, mask, ranges, cfg)
-            left.merge(right)
-            for ci in range(2):
-                for s in range(4):
-                    assert [
-                        (d, i) for d, i, _, _ in left.grid[ci][s].sorted_entries()
-                    ] == [(d, i) for d, i, _, _ in whole.grid[ci][s].sorted_entries()]
+            assert grid_entries(left.merge(right)) == grid_entries(whole)
 
     def test_encode_decode_round_trip_exact(self):
         block, sample_block, mask, ranges = toy_matrix_inputs(n=25, a=4, c=3, m=3, seed=2)
-        nn = NeighborMatrix(3, sample_block.ids, 5)
+        nn = NeighborMatrix(3, sample_block.ids, 5, 4)
         nn.offer_block(block, sample_block.values, mask, ranges, DiffConfig())
-        buf = nn.encode(4)
-        back = NeighborMatrix.decode(buf, sample_block.ids)
-        for ci in range(3):
-            for s in range(3):
-                got = back.grid[ci][s].sorted_entries()
-                want = nn.grid[ci][s].sorted_entries()
-                assert len(got) == len(want)
-                for (d1, i1, l1, v1), (d2, i2, l2, v2) in zip(got, want):
-                    assert (d1, i1, l1) == (d2, i2, l2)
-                    assert np.array_equal(v1, v2)
+        back = NeighborMatrix.decode(nn.encode(), sample_block.ids, 3, 5, 4)
+        assert grid_entries(back) == grid_entries(nn)
 
     def test_decode_rejects_sample_mismatch(self):
         _, sample_block, mask, ranges = toy_matrix_inputs()
-        nn = NeighborMatrix(2, sample_block.ids, 2)
-        buf = nn.encode(2)
+        nn = NeighborMatrix(2, sample_block.ids, 2, 2)
+        buf = nn.encode()
         with pytest.raises(ValueError):
-            NeighborMatrix.decode(buf, sample_block.ids[:-1])
+            NeighborMatrix.decode(buf, sample_block.ids[:-1], 2, 2, 2)
 
 
 @st.composite
 def neighbor_inputs(draw):
-    """Small blocks built to stress the selection: few distinct values (many
-    ties at the k-th distance), nominal columns, classes with fewer than k
-    members or none, and samples both inside and outside the block."""
+    """Small blocks built to stress the selection: few distinct values and
+    duplicated rows (many ties at the k-th distance), nominal columns,
+    classes with fewer than k members or none, and samples both inside and
+    outside the block."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 60))
@@ -190,6 +155,8 @@ def neighbor_inputs(draw):
     mask = rng.random(a) < 0.6
     values = rng.integers(0, levels, size=(n, a)).astype(np.float64)
     values[:, mask] *= rng.uniform(0.5, 2.0)
+    # duplicated rows: equal distances to every sample, told apart by id
+    values[rng.integers(0, n, size=n // 4)] = values[0]
     # labels drawn from a subset of the classes, so some classes are empty
     present = rng.choice(num_classes, size=int(rng.integers(1, num_classes + 1)), replace=False)
     labels = rng.choice(present, size=n).astype(np.int32)
@@ -216,7 +183,7 @@ class TestOfferBlockSelection:
     @settings(max_examples=300, deadline=None)
     def test_block_path_equals_instance_path_bit_for_bit(self, inputs):
         block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k = inputs
-        via_block = NeighborMatrix(num_classes, sample_ids, k)
+        via_block = NeighborMatrix(num_classes, sample_ids, k, len(mask))
         via_block.offer_block(block, sample_values, mask, ranges, cfg)
         want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k)
         assert grid_entries(via_block) == want
@@ -250,7 +217,7 @@ class TestOfferBlockSelection:
         assert m > g or g > width
         if m > g:
             assert m % g, "the last sample group should be partial"
-        nn = NeighborMatrix(3, sample_ids, 5)
+        nn = NeighborMatrix(3, sample_ids, 5, a)
         nn.offer_block(block, sample_values, mask, ranges, cfg)
         want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, 3, 5)
         assert grid_entries(nn) == want
@@ -268,7 +235,7 @@ class TestOfferBlockSelection:
         pick = rng.choice(n, size=m, replace=False)
         ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
         for cfg in (DiffConfig(), DiffConfig(DiffMode.RAMP, t_eq=0.1, t_diff=0.4)):
-            nn = NeighborMatrix(3, block.ids[pick], 4)
+            nn = NeighborMatrix(3, block.ids[pick], 4, a)
             nn.offer_block(block, values[pick], mask, ranges, cfg)
             want = brute_force_entries(block, block.ids[pick], values[pick], mask, ranges, cfg, 3, 4)
             assert grid_entries(nn) == want
@@ -281,7 +248,7 @@ class TestOfferBlockSelection:
         mask = np.ones(a, dtype=bool)
         block = InstanceBlock(np.array([3], dtype=np.int64), np.array([0]), values[:1])
         ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
-        nn = NeighborMatrix(1, [9], 1)
+        nn = NeighborMatrix(1, [9], 1, a)
         nn.offer_block(block, values[1:], mask, ranges, DiffConfig())
         want = brute_force_entries(block, [9], values[1:], mask, ranges, DiffConfig(), 1, 1)
         assert grid_entries(nn) == want
@@ -317,15 +284,104 @@ class TestPairwiseOrder:
         )
 
 
+class TestMatrixFillAndMerge:
+    @given(inputs=neighbor_inputs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_partitions_merged_in_any_grouping_equal_one_fill(self, inputs, data):
+        # keeps the k smallest (distance, id), the smaller id winning a tie,
+        # whichever partition offered it and in whatever grouping it merged
+        block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k = inputs
+        n = len(block)
+
+        def fill(part):
+            nn = NeighborMatrix(num_classes, sample_ids, k, len(mask))
+            nn.offer_block(part, sample_values, mask, ranges, cfg)
+            return nn
+
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5), label="cuts"))
+        bounds = [0, *cuts, n]
+        parts = [fill(block.slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        while len(parts) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(parts) - 1), min_size=2, max_size=2, unique=True))
+            merged = parts[i].merge(parts[j])
+            parts = [merged] + [part for at, part in enumerate(parts) if at not in (i, j)]
+        want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k)
+        assert grid_entries(fill(block)) == want
+        assert grid_entries(parts[0]) == want
+
+
+def encoded(inputs):
+    block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k = inputs
+    nn = NeighborMatrix(num_classes, sample_ids, k, len(mask))
+    nn.offer_block(block, sample_values, mask, ranges, cfg)
+    return nn, nn.encode(), (sample_ids, num_classes, k, len(mask))
+
+
+def same_matrix(x, y):
+    return all(
+        np.array_equal(getattr(x, f), getattr(y, f)) and getattr(x, f).dtype == getattr(y, f).dtype
+        for f in ("dist", "ids", "values", "count", "sample_ids")
+    )
+
+
 class TestMatrixDecode:
+    HEADER = 16  # classes, samples, k, features as big-endian int32
+
+    @given(inputs=neighbor_inputs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_and_damage(self, inputs, data):
+        nn, buf, expected = encoded(inputs)
+        assert same_matrix(NeighborMatrix.decode(buf, *expected), nn)
+        num_cells = nn.count.size
+        counts_end = self.HEADER + 4 * num_cells
+        # every truncation of the header and counts, and some of the entries
+        payload_cuts = []
+        if len(buf) > counts_end:
+            payload_cuts = data.draw(st.lists(st.integers(counts_end, len(buf) - 1), max_size=8), label="cuts")
+        for cut in [*range(counts_end), *payload_cuts]:
+            with pytest.raises(ValueError):
+                NeighborMatrix.decode(buf[:cut], *expected)
+        with pytest.raises(ValueError):
+            NeighborMatrix.decode(buf + bytes([data.draw(st.integers(0, 255))]), *expected)
+        # a header field or a cell count set to any other value
+        field = data.draw(st.integers(0, 3 + num_cells), label="field")
+        at = 4 * field if field < 4 else self.HEADER + 4 * (field - 4)
+        old = int.from_bytes(buf[at : at + 4], "big", signed=True)
+        new = data.draw(st.integers(-(2**31), 2**31 - 1).filter(lambda v: v != old), label="value")
+        bad = buf[:at] + new.to_bytes(4, "big", signed=True) + buf[at + 4 :]
+        with pytest.raises(ValueError):
+            NeighborMatrix.decode(bad, *expected)
+
     def test_truncated_and_extended_buffers_rejected(self):
         block, sample_block, mask, ranges = toy_matrix_inputs(n=20, a=2, c=2, m=3, seed=1)
-        nn = NeighborMatrix(2, sample_block.ids, 3)
+        nn = NeighborMatrix(2, sample_block.ids, 3, 2)
         nn.offer_block(block, sample_block.values, mask, ranges, DiffConfig())
-        buf = nn.encode(2)
-        assert grid_entries(NeighborMatrix.decode(buf, sample_block.ids)) == grid_entries(nn)
+        buf = nn.encode()
+        expected = (sample_block.ids, 2, 3, 2)
+        assert grid_entries(NeighborMatrix.decode(buf, *expected)) == grid_entries(nn)
         for cut in range(len(buf)):
-            with pytest.raises((struct.error, ValueError)):
-                NeighborMatrix.decode(buf[:cut], sample_block.ids)
-        with pytest.raises(ValueError, match="trailing"):
-            NeighborMatrix.decode(buf + b"\x00", sample_block.ids)
+            with pytest.raises(ValueError):
+                NeighborMatrix.decode(buf[:cut], *expected)
+        with pytest.raises(ValueError, match="bytes of entries"):
+            NeighborMatrix.decode(buf + b"\x00", *expected)
+
+    @pytest.mark.parametrize(
+        "dist, ids",
+        [
+            ([0.2, 0.1], [1, 2]),
+            ([0.1, 0.1], [2, 1]),
+            ([0.1, 0.1], [1, 1]),
+            ([np.nan, 0.1], [1, 2]),
+            ([0.1, np.inf], [1, 2]),
+        ],
+    )
+    def test_cell_out_of_order_rejected(self, dist, ids):
+        nn = NeighborMatrix(1, [0], 2, 1)
+        nn.count[0, 0] = 2
+        nn.dist[0, 0], nn.ids[0, 0] = dist, ids
+        with pytest.raises(ValueError, match="ascending"):
+            NeighborMatrix.decode(nn.encode(), [0], 1, 2, 1)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            NeighborMatrix(1, [0], 0, 1)

@@ -21,6 +21,7 @@ from direlieff.model import (
     InstanceBlock,
     RankConfig,
     Schema,
+    feature_diffs,
 )
 from direlieff.neighbors import NeighborMatrix
 from direlieff.pipeline import (
@@ -37,7 +38,7 @@ from direlieff.pipeline import (
 from direlieff.reference import relieff_sequential
 from direlieff.synth import SynthSpec, make_dataset
 
-from _support import random_mixed_block
+from _support import grid_entries, random_mixed_block
 
 
 def numeric_schema(a: int, c: int = 2) -> Schema:
@@ -151,10 +152,9 @@ class TestFindNeighbors:
         ranges = compute_ranges(ds, eng)
         sample = InstanceBlock([0], [0], [[0.0]])
         nn = find_neighbors(ds, eng, sample, ranges, k=2, cfg=DiffConfig())
-        hits = nn.grid[0][0].sorted_entries()
+        hits, misses = (cells[0] for cells in grid_entries(nn))
         assert [iid for _, iid, _, _ in hits] == [1, 2]
-        assert [v[0] for _, _, _, v in hits] == [1.0, 2.0]
-        misses = nn.grid[1][0].sorted_entries()
+        assert nn.values[0, 0, :2, 0].tolist() == [1.0, 2.0]
         assert [iid for _, iid, _, _ in misses] == [3]
 
     def test_underpopulated_class_keeps_what_exists(self):
@@ -164,8 +164,7 @@ class TestFindNeighbors:
         ranges = compute_ranges(ds, eng)
         sample = InstanceBlock([0], [0], [[0.0]])
         nn = find_neighbors(ds, eng, sample, ranges, k=3, cfg=DiffConfig())
-        assert len(nn.grid[0][0].sorted_entries()) == 1  # only one other hit
-        assert len(nn.grid[1][0].sorted_entries()) == 1
+        assert nn.count.tolist() == [[1], [1]]  # only one other hit
 
     def test_each_instance_visited_once(self, monkeypatch):
         reads = []
@@ -193,13 +192,18 @@ def one_feature_range():
 
 class TestComputeSdif:
     def fill(self, k, neighbor_values, num_classes=2, target_class=0):
-        nn = NeighborMatrix(num_classes, [0], k)
-        for j, v in enumerate(neighbor_values, start=1):
-            nn.grid[target_class][0].offer(v, j, target_class, np.array([v]))
+        # one sample at 0.0: each neighbour's distance is its value
+        nn = NeighborMatrix(num_classes, [0], k, 1)
+        entries = sorted((v, j) for j, v in enumerate(neighbor_values, start=1))
+        n = len(entries)
+        nn.count[target_class, 0] = n
+        nn.dist[target_class, 0, :n] = [v for v, _ in entries]
+        nn.ids[target_class, 0, :n] = [j for _, j in entries]
+        nn.values[target_class, 0, :n, 0] = [v for v, _ in entries]
         return nn
 
     def test_empty_cells_are_zero(self):
-        nn = NeighborMatrix(2, [0], k=2)
+        nn = NeighborMatrix(2, [0], 2, 1)
         sample = InstanceBlock([0], [0], [[0.0]])
         out = compute_sdif(nn, sample, one_feature_range(), 2, DiffConfig(), np.array([True]))
         assert out.shape == (2, 1, 1)
@@ -232,6 +236,32 @@ class TestComputeSdif:
             average_by_found=True,
         )
         assert out[0, 0, 0] == pytest.approx(0.4, abs=1e-15)
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [1, 3])
+    @pytest.mark.parametrize("average_by_found", [False, True])
+    def test_ragged_cells_match_per_cell_sums(self, a, average_by_found):
+        # empty, short and full cells in one matrix; with one feature numpy
+        # sums a cell's column pairwise, in an order set by the cell's length
+        rng = np.random.default_rng(a)
+        c, m, k = 3, 30, 20
+        samples = InstanceBlock(np.arange(m), np.arange(m) % c, rng.uniform(0, 1, size=(m, a)))
+        mask = np.ones(a, dtype=bool)
+        ranges = FeatureRange(np.zeros(a), np.ones(a), mask)
+        nn = NeighborMatrix(c, samples.ids, k, a)
+        nn.count[...] = rng.choice([0, 1, 5, 10, 13, k], size=(c, m))
+        nn.values[...] = rng.uniform(0, 1, size=nn.values.shape) * 10.0 ** rng.integers(-8, 8, size=nn.values.shape)
+        cfg = DiffConfig()
+        got = compute_sdif(nn, samples, ranges, k, cfg, mask, average_by_found)
+        want = np.zeros((c, m, a))
+        for ci in range(c):
+            for i in range(m):
+                n = nn.count[ci, i]
+                if n:
+                    diffs = feature_diffs(nn.values[ci, i, :n], samples.values[i], mask, ranges, cfg)
+                    want[ci, i] = diffs.sum(axis=0) / (n if average_by_found else k)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestComputeWeights:
