@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 
 import numpy as np
@@ -77,16 +76,6 @@ def _addr_list(text: str) -> list[tuple[str, int]]:
     return out
 
 
-def _default_workers() -> int:
-    env = os.environ.get("DIRELIEFF_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="dataset file")
     p.add_argument("--format", choices=("csv", "libsvm"), default="csv")
@@ -130,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="rank features of a dataset")
     _add_dataset_flags(p_rank)
     _add_rank_flags(p_rank)
-    p_rank.add_argument("--workers", type=_positive_int, default=None)
+    p_rank.add_argument("--workers", type=_positive_int, default=1)
     p_rank.add_argument("--backend", choices=("local", "cluster"), default="local")
     p_rank.add_argument("--cluster-workers", type=_addr_list, default=None,
                         help="comma-separated host:port list")
@@ -150,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--repeats", type=_positive_int, default=3)
     p_bench.add_argument("--partitions", type=_positive_int, default=4)
-    p_bench.add_argument("--workers", type=_positive_int, default=None)
+    p_bench.add_argument("--workers", type=_positive_int, default=1)
     p_bench.add_argument("--output", default="scaling.csv")
     p_bench.add_argument("--plot-data", default=None)
 
@@ -173,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--k", type=_positive_int, default=10)
     p_stab.add_argument("--pairs", type=_positive_int, default=5)
     p_stab.add_argument("--seed", type=int, default=0, help="base seed for the pair sequence")
-    p_stab.add_argument("--workers", type=_positive_int, default=None)
+    p_stab.add_argument("--workers", type=_positive_int, default=1)
     p_stab.add_argument("--output", default="stability.csv")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -206,8 +195,7 @@ def _print_top(result, schema, limit: int = 10) -> None:
 def _cmd_rank(args) -> int:
     ds = _load_dataset(args)
     config = _rank_config(args)
-    workers = args.workers if args.workers is not None else _default_workers()
-    engine_cfg = EngineConfig(workers=workers)
+    engine_cfg = EngineConfig(workers=args.workers)
     with contextlib.ExitStack() as stack:
         if args.backend == "cluster":
             if not args.cluster_workers:
@@ -247,7 +235,6 @@ def _cmd_compare(args) -> int:
 def _cmd_bench(args, parser) -> int:
     if len(args.points) < 3:
         parser.error("bench --points needs at least 3 values")
-    workers = args.workers if args.workers is not None else _default_workers()
     rows, r2 = scaling_sweep(
         args.axis,
         args.points,
@@ -258,7 +245,7 @@ def _cmd_bench(args, parser) -> int:
         seed=args.seed,
         repeats=args.repeats,
         partitions=args.partitions,
-        engine=LocalEngine(EngineConfig(workers=workers)),
+        engine=LocalEngine(EngineConfig(workers=args.workers)),
     )
     config = f"axis={args.axis} points={args.points} k={args.k} r_squared={r2:.4f}"
     write_report_csv(args.output, rows, ["point", "seconds"], args.seed, config)
@@ -290,10 +277,9 @@ def _cmd_speedup(args) -> int:
 
 def _cmd_stability(args) -> int:
     ds = _load_dataset(args)
-    workers = args.workers if args.workers is not None else _default_workers()
     pairs = [(args.seed + 2 * j, args.seed + 2 * j + 1) for j in range(args.pairs)]
     rows = stability_curve(
-        ds, args.m_values, args.k, pairs, engine=LocalEngine(EngineConfig(workers=workers))
+        ds, args.m_values, args.k, pairs, engine=LocalEngine(EngineConfig(workers=args.workers))
     )
     meta = f"k={args.k} pairs={pairs}"
     write_report_csv(args.output, rows, ["m", "avg_diff"], args.seed, meta)

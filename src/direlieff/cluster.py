@@ -1,13 +1,15 @@
 """Multi-process backend: a driver coordinating worker processes over TCP.
 
 Workers are started first and listen on their own ports.  The driver
-connects, receives a REGISTER greeting, ships each worker a contiguous
-range of partition blocks once (ASSIGN_PARTITIONS), then drives named
-stages (RUN_STAGE / STAGE_RESULT).  Stage code is never transmitted: both
-sides resolve stage names in the shared registry.
+connects, receives a REGISTER greeting that names the worker's protocol
+version, ships each worker a contiguous range of partition blocks once
+(ASSIGN_PARTITIONS), then drives named stages (RUN_STAGE / STAGE_RESULT).
+Stage code is never transmitted: both sides resolve stage names in the
+shared registry.
 
 Frame layout: 4-byte big-endian payload length, 1-byte type tag, payload.
-Partitions travel in the fixed-width row format of `stages.pack_block`.
+Payloads past the REGISTER JSON and stage names are `wire` arrays; a
+partition travels as its ids, labels and values (`encode_assignment`).
 Each side folds partition results in partition order as they finish.
 Error policy is fail-fast: any worker failure aborts the whole run.
 """
@@ -19,8 +21,9 @@ import socket
 import struct
 import traceback
 
+import numpy as np
+
 from .engine import (
-    DEFAULT_MAX_RESULT_BYTES,
     EngineConfig,
     EngineError,
     PartitionedDataset,
@@ -28,7 +31,8 @@ from .engine import (
     split_sizes,
 )
 from .model import Schema
-from .stages import STAGES, pack_block, unpack_block
+from .stages import STAGES, check_block
+from .wire import pack, unpack
 
 __all__ = [
     "MSG_REGISTER",
@@ -37,7 +41,10 @@ __all__ = [
     "MSG_STAGE_RESULT",
     "MSG_ERROR",
     "MSG_SHUTDOWN",
+    "PROTOCOL_VERSION",
     "ClusterError",
+    "encode_assignment",
+    "decode_assignment",
     "encode_frame",
     "parse_frame",
     "read_frame",
@@ -51,6 +58,9 @@ MSG_RUN_STAGE = 3
 MSG_STAGE_RESULT = 4
 MSG_ERROR = 5
 MSG_SHUTDOWN = 6
+
+# sent in REGISTER; raise it whenever any payload's layout changes
+PROTOCOL_VERSION = 2
 
 _KNOWN_TAGS = frozenset(
     (MSG_REGISTER, MSG_ASSIGN_PARTITIONS, MSG_RUN_STAGE, MSG_STAGE_RESULT, MSG_ERROR, MSG_SHUTDOWN)
@@ -126,58 +136,61 @@ def _unpack_named(payload: bytes):
 # -- worker -------------------------------------------------------------------
 
 
-class _WorkerState:
-    def __init__(self):
-        self.schema: Schema | None = None
-        self.assigned: list = []  # (global partition index, InstanceBlock)
-        self.max_result_bytes = DEFAULT_MAX_RESULT_BYTES
+def encode_assignment(max_result_bytes: int, schema: Schema, parts) -> bytes:
+    """ASSIGN_PARTITIONS payload: the result cap, the schema as JSON, each
+    partition's global index and row count, then all partitions' ids,
+    labels and values; `parts` is a list of (global index, block)."""
+    return pack(
+        np.array([max_result_bytes], dtype=np.int64),
+        np.frombuffer(json.dumps(schema.to_dict()).encode("utf-8"), dtype=np.uint8),
+        np.array([gidx for gidx, _ in parts], dtype=np.int64),
+        np.array([len(block) for _, block in parts], dtype=np.int64),
+        [block.ids for _, block in parts],
+        [block.labels for _, block in parts],
+        [block.values for _, block in parts],
+    )
 
 
-def _worker_assign(state: _WorkerState, payload: bytes) -> bytes:
-    (state.max_result_bytes,) = struct.unpack_from("!q", payload, 0)
-    at = 8
-    (slen,) = struct.unpack_from("!i", payload, at)
-    at += 4
-    state.schema = Schema.from_dict(json.loads(payload[at : at + slen].decode("utf-8")))
-    at += slen
-    (nparts,) = struct.unpack_from("!i", payload, at)
-    at += 4
-    a = state.schema.num_features
-    state.assigned = []
-    total = 0
-    for _ in range(nparts):
-        gidx, nrows = struct.unpack_from("!ii", payload, at)
-        at += 8
-        block, at = unpack_block(payload, at, nrows, a)
-        state.assigned.append((gidx, block))
-        total += nrows
-    state.assigned.sort(key=lambda t: t[0])
-    return _pack_named("assign", struct.pack("!q", total))
+def decode_assignment(payload: bytes):
+    """(result cap, schema, [(global index, block)]) of an ASSIGN_PARTITIONS
+    payload; ValueError unless it holds one cap, partition indexes >= 0 in
+    ascending order, and row counts >= 0 that add up to the rows."""
+    cap, schema_json, gidx, nrows, ids, labels, values = unpack(
+        payload, np.int64, np.uint8, np.int64, np.int64, np.int64, np.int32, np.float64
+    )
+    if len(cap) != 1 or len(nrows) != len(gidx) or (gidx < 0).any() or (np.diff(gidx) <= 0).any():
+        raise ValueError("partition assignment needs one result cap and ascending partition indexes >= 0")
+    if ((nrows < 0) | (nrows > len(ids))).any() or nrows.sum() != len(ids):
+        raise ValueError("partition assignment row counts must be >= 0 and add up to the rows")
+    schema = Schema.from_dict(json.loads(schema_json.tobytes()))
+    block = check_block(ids, labels, values, schema)
+    ends = np.cumsum(nrows).tolist()
+    parts = [(g, block.slice(end - n, end)) for g, n, end in zip(gidx.tolist(), nrows.tolist(), ends)]
+    return int(cap[0]), schema, parts
 
 
-def _worker_run_stage(state: _WorkerState, payload: bytes, threads: int) -> bytes:
+def _worker_run_stage(assignment, payload: bytes, threads: int) -> bytes:
+    """The named stage's result on `decode_assignment`'s partitions (None: no assignment yet)."""
     name, body = _unpack_named(payload)
     stage = STAGES.get(name)
     if stage is None:
         raise ClusterError(f"unknown stage {name!r}")
-    if state.schema is None:
+    if assignment is None:
         raise ClusterError("RUN_STAGE before ASSIGN_PARTITIONS")
-    schema = state.schema
+    max_result_bytes, schema, assigned = assignment
     params = stage.decode_params(body, schema)
 
     def job(item):
         gidx, block = item
         return stage.run_block(stage.make_zero(schema, params), block, params, schema, gidx)
 
-    if state.assigned:
-        result = fold_in_order(job, state.assigned, threads, stage.comb)
+    if assigned:
+        result = fold_in_order(job, assigned, threads, stage.comb)
     else:
         result = stage.make_zero(schema, params)
     out = stage.encode_result(result, schema)
-    if len(out) > state.max_result_bytes:
-        raise ClusterError(
-            f"stage {name!r} result of {len(out)} bytes exceeds cap {state.max_result_bytes}"
-        )
+    if len(out) > max_result_bytes:
+        raise ClusterError(f"stage {name!r} result of {len(out)} bytes exceeds cap {max_result_bytes}")
     return _pack_named(name, out)
 
 
@@ -194,8 +207,8 @@ def serve_worker(host: str, port: int, threads: int = 1, *, on_listen=None) -> i
             on_listen(srv.getsockname()[0], srv.getsockname()[1])
         conn, peer = srv.accept()
         with conn:
-            state = _WorkerState()
-            _send(conn, MSG_REGISTER, json.dumps({"threads": threads}).encode("utf-8"))
+            assignment = None
+            _send(conn, MSG_REGISTER, json.dumps({"threads": threads, "protocol": PROTOCOL_VERSION}).encode("utf-8"))
             while True:
                 try:
                     tag, payload = read_frame(conn)
@@ -212,9 +225,10 @@ def serve_worker(host: str, port: int, threads: int = 1, *, on_listen=None) -> i
                     return 0
                 try:
                     if tag == MSG_ASSIGN_PARTITIONS:
-                        reply = _worker_assign(state, payload)
+                        assignment = decode_assignment(payload)
+                        reply = _pack_named("assign", pack(np.array([sum(len(b) for _, b in assignment[2])])))
                     elif tag == MSG_RUN_STAGE:
-                        reply = _worker_run_stage(state, payload, threads)
+                        reply = _worker_run_stage(assignment, payload, threads)
                     else:
                         raise ClusterError(f"unexpected message tag {tag} on worker")
                 except Exception as exc:
@@ -265,6 +279,13 @@ class ClusterEngine:
             if tag != MSG_REGISTER:
                 self.close()
                 raise ClusterError(f"worker {name}: expected REGISTER, got tag {tag}")
+            try:
+                protocol = json.loads(payload).get("protocol")
+            except (ValueError, AttributeError):
+                protocol = None
+            if protocol != PROTOCOL_VERSION:
+                self.close()
+                raise ClusterError(f"worker {name}: protocol {protocol}, expected {PROTOCOL_VERSION}")
 
     def close(self) -> None:
         for conn in self._conns:
@@ -319,33 +340,22 @@ class ClusterEngine:
         self.connect()
         nparts = ds.num_partitions
         sizes = split_sizes(nparts, len(self.addrs))
-        schema_json = json.dumps(ds.schema.to_dict()).encode("utf-8")
         self._assignment = []
         self._lens = [len(ds.partition(i)) for i in range(nparts)]
         at = 0
-        for w, (conn, addr) in enumerate(zip(self._conns, self.addrs)):
+        for w, conn in enumerate(self._conns):
             mine = list(range(at, at + sizes[w]))
             at += sizes[w]
             self._assignment.append(mine)
-            parts = [
-                struct.pack("!q", self.config.max_result_bytes),
-                struct.pack("!i", len(schema_json)),
-                schema_json,
-                struct.pack("!i", len(mine)),
-            ]
-            for gidx in mine:
-                block = ds.partition(gidx)
-                parts.append(struct.pack("!ii", gidx, len(block)))
-                parts.append(pack_block(block))
-            _send(conn, MSG_ASSIGN_PARTITIONS, b"".join(parts))
+            payload = encode_assignment(self.config.max_result_bytes, ds.schema, [(g, ds.partition(g)) for g in mine])
+            _send(conn, MSG_ASSIGN_PARTITIONS, payload)
         for w, (conn, addr) in enumerate(zip(self._conns, self.addrs)):
             name = f"{addr[0]}:{addr[1]}"
             body = self._expect_result(conn, name, "assign")
-            (stored,) = struct.unpack("!q", body)
             expected = sum(self._lens[i] for i in self._assignment[w])
-            if stored != expected:
+            if body != pack(np.array([expected])):
                 self.close()
-                raise ClusterError(f"worker {name}: stored {stored} rows, expected {expected}")
+                raise ClusterError(f"worker {name}: did not confirm storing {expected} rows")
         self._current = ds
 
     # -- stage interface (mirrors LocalEngine)
@@ -373,7 +383,7 @@ class ClusterEngine:
             body = self._expect_result(self._conns[w], name, stage.name)
             try:
                 partial = stage.decode_result(body, ds.schema, params)
-            except (struct.error, ValueError) as exc:
+            except ValueError as exc:
                 self.close()
                 raise ClusterError(f"worker {name}: malformed {stage.name!r} result: {exc}") from exc
             result = partial if result is None else stage.comb(result, partial)

@@ -48,11 +48,9 @@ from __future__ import annotations
 import numpy as np
 
 from .model import DiffConfig, FeatureRange, InstanceBlock, feature_diffs
+from .wire import pack, unpack
 
 __all__ = ["NeighborMatrix", "pairwise_sum", "tiling"]
-
-# wire types of `NeighborMatrix.encode`: header, counts, distances, ids, rows
-_WIRE_CODES = (">i4", ">i4", ">f8", ">i8", ">f8")
 
 # Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
 # (samples, rows) distance tile (256 KiB), and the feature-major copy of the
@@ -332,13 +330,12 @@ class NeighborMatrix:
         return self.dist.reshape(slots), self.ids.reshape(slots), self.values.reshape(slots, self.values.shape[3])
 
     def encode(self) -> bytes:
-        """Header (classes, samples, k, features), then each cell's fill
-        count, then the filled entries in cell order: their distances, ids
-        and rows, all big-endian."""
+        """Header (classes, samples, k, features), each cell's fill count,
+        then the filled entries in cell order: their distances, ids and
+        rows, as five `wire` arrays."""
         held = self.filled()
         head = np.array([self.num_classes, self.num_samples, self.k, self.values.shape[3]])
-        parts = (head, self.count, self.dist[held], self.ids[held], self.values[held])
-        return b"".join(x.astype(code).tobytes() for x, code in zip(parts, _WIRE_CODES))
+        return pack(head, self.count, self.dist[held], self.ids[held], self.values[held])
 
     @classmethod
     def decode(cls, buf: bytes, sample_ids, num_classes: int, k: int, num_features: int) -> "NeighborMatrix":
@@ -346,23 +343,21 @@ class NeighborMatrix:
         and features; ValueError on any other shape, a count outside [0, k],
         a length that does not match the counts, a distance that is not
         finite, or a cell out of ascending (distance, id) order."""
-        # np.frombuffer raises ValueError when the buffer is too short
-        head = tuple(np.frombuffer(buf, dtype=">i4", count=4).tolist())
-        want = (num_classes, len(sample_ids), k, num_features)
-        if head != want:
+        # entries as views of `buf`: a native copy first raises the driver's peak RSS
+        head, count, dist, ids, values = unpack(buf, np.int64, np.int64, ">f8", ">i8", ">f8")
+        want = [num_classes, len(sample_ids), k, num_features]
+        if head.tolist() != want:
             raise ValueError(f"neighbour matrix (classes, samples, k, features) is {head}, expected {want}")
+        if len(count) != num_classes * len(sample_ids) or ((count < 0) | (count > k)).any():
+            raise ValueError(f"neighbour matrix needs a count in [0, {k}] per cell")
+        n = int(count.sum())
+        if len(dist) != n or len(ids) != n or len(values) != n * num_features:
+            raise ValueError(f"neighbour matrix of {n} entries has {len(dist)}, {len(ids)} and {len(values)} values")
         out = cls(num_classes, sample_ids, k, num_features)
-        count = np.frombuffer(buf, dtype=">i4", count=out.count.size, offset=16)
-        if ((count < 0) | (count > k)).any():
-            raise ValueError(f"neighbour matrix cell count outside [0, {k}]")
         out.count.flat = count
-        n, at = int(out.count.sum()), 16 + 4 * out.count.size
-        if len(buf) - at != n * 8 * (2 + num_features):
-            raise ValueError(f"neighbour matrix of {n} entries has {len(buf) - at} bytes of entries")
         held = out.filled()
-        out.dist[held] = np.frombuffer(buf, ">f8", n, at)
-        out.ids[held] = np.frombuffer(buf, ">i8", n, at + 8 * n)
-        out.values[held] = np.frombuffer(buf, ">f8", n * num_features, at + 16 * n).reshape(n, num_features)
+        out.dist[held], out.ids[held] = dist, ids
+        out.values[held] = values.reshape(n, num_features)
         d, i = out.dist, out.ids
         ordered = (d[..., :-1] < d[..., 1:]) | ((d[..., :-1] == d[..., 1:]) & (i[..., :-1] < i[..., 1:]))
         if not np.isfinite(d[held]).all() or (held[..., 1:] & ~ordered).any():

@@ -1,26 +1,27 @@
 """Named computation stages shared by the local and cluster backends.
 
 A stage bundles the per-partition fold over one `InstanceBlock`
-(`run_block`), the driver-side combiner, and exact byte codecs for its
-parameters and result.  Backends only ever refer to stages by name, so
-nothing callable crosses the wire.
+(`run_block`), the driver-side combiner, and codecs for its parameters
+and result.  Backends only ever refer to stages by name, so nothing
+callable crosses the wire.
 
-All codecs are big-endian and value-exact: float64 payloads are raw IEEE-754
-bytes, never decimal strings, so a result decodes to the identical bits on
-any host.  Instance rows have one wire format, `pack_block` /
-`unpack_block`, used both to ship partitions to cluster workers and to
-return fetched samples.
+Every codec writes its message with `wire.pack` and reads it back with one
+`wire.unpack` call, then checks what its stage relies on, so a malformed
+message raises `ValueError` and nothing else.  Instances travel as three
+arrays, ids, labels and flat values; `check_block` turns them back into an
+`InstanceBlock` for the fetched rows, the neighbour samples and the
+cluster's partition assignment alike.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DiffConfig, DiffMode, FeatureRange, InstanceBlock, Schema
 from .neighbors import NeighborMatrix
+from .wire import pack, unpack
 
 __all__ = [
     "Stage",
@@ -31,50 +32,23 @@ __all__ = [
     "FETCH",
     "NEIGHBORS",
     "STAGES",
-    "pack_block",
-    "unpack_block",
+    "check_block",
 ]
 
-_I32 = struct.Struct("!i")
 # rows that `_fold_rows` folds into one wide row
 _FOLD_ROWS = 16
 
 
-def _pack_f64(arr: np.ndarray) -> bytes:
-    return np.asarray(arr, dtype=np.float64).astype(">f8").tobytes()
-
-
-def _unpack_f64(buf: bytes, at: int, count: int):
-    out = np.frombuffer(buf, dtype=">f8", count=count, offset=at).astype(np.float64)
-    return out, at + 8 * count
-
-
-def _row_dtype(num_features: int) -> np.dtype:
-    return np.dtype([("id", ">i8"), ("label", ">i4"), ("values", ">f8", (num_features,))])
-
-
-def pack_block(block: InstanceBlock) -> bytes:
-    """Fixed-width rows: id (8 bytes), class id (4 bytes), one 8-byte
-    IEEE-754 value per feature, all big-endian."""
-    rows = np.empty(len(block), dtype=_row_dtype(block.values.shape[1]))
-    rows["id"] = block.ids
-    rows["label"] = block.labels
-    rows["values"] = block.values
-    return rows.tobytes()
-
-
-def unpack_block(buf: bytes, offset: int, nrows: int, num_features: int):
-    """(block, offset past its rows) of `nrows` rows packed at `offset`."""
-    if nrows < 0:
-        raise ValueError(f"negative row count {nrows}")
-    dt = _row_dtype(num_features)
-    rows = np.frombuffer(buf, dtype=dt, count=nrows, offset=offset)
-    block = InstanceBlock(
-        rows["id"].astype(np.int64),
-        rows["label"].astype(np.int32),
-        rows["values"].astype(np.float64),
-    )
-    return block, offset + nrows * dt.itemsize
+def check_block(ids: np.ndarray, labels: np.ndarray, values: np.ndarray, schema: Schema) -> InstanceBlock:
+    """The block of decoded ids, labels and flat values: ValueError unless
+    they make one row of `schema.num_features` values per id, every label
+    is in [0, num_classes) and every value is finite."""
+    n, a = len(ids), schema.num_features
+    if len(labels) != n or len(values) != n * a:
+        raise ValueError(f"{n} ids, {len(labels)} labels and {len(values)} values are not rows of {a} features")
+    if n and (labels.min() < 0 or labels.max() >= schema.num_classes):
+        raise ValueError(f"class label outside [0, {schema.num_classes})")
+    return InstanceBlock(ids, labels, values.reshape(n, a))
 
 
 class Stage:
@@ -92,9 +66,10 @@ class Stage:
         raise NotImplementedError
 
     def encode_params(self, params, schema: Schema) -> bytes:
-        return b""
+        return pack()
 
     def decode_params(self, buf: bytes, schema: Schema):
+        unpack(buf)
         return None
 
     def encode_result(self, result, schema: Schema) -> bytes:
@@ -144,12 +119,13 @@ class RangesStage(Stage):
         return (np.minimum(a[0], b[0]), np.maximum(a[1], b[1]))
 
     def encode_result(self, result, schema):
-        return _pack_f64(result[0]) + _pack_f64(result[1])
+        return pack(*result)
 
     def decode_result(self, buf, schema, params):
+        mins, maxs = unpack(buf, np.float64, np.float64)
         a = schema.num_features
-        mins, at = _unpack_f64(buf, 0, a)
-        maxs, _ = _unpack_f64(buf, at, a)
+        if len(mins) != a or len(maxs) != a or np.isnan(mins).any() or np.isnan(maxs).any():
+            raise ValueError(f"ranges need {a} mins and {a} maxs, none NaN")
         return (mins, maxs)
 
 
@@ -168,10 +144,13 @@ class PriorsStage(Stage):
         return a + b
 
     def encode_result(self, result, schema):
-        return np.asarray(result, dtype=np.int64).astype(">i8").tobytes()
+        return pack(np.asarray(result, dtype=np.int64))
 
     def decode_result(self, buf, schema, params):
-        return np.frombuffer(buf, dtype=">i8").astype(np.int64)
+        (counts,) = unpack(buf, np.int64)
+        if len(counts) != schema.num_classes or (counts < 0).any():
+            raise ValueError(f"priors need {schema.num_classes} class counts, none negative")
+        return counts
 
 
 @dataclass(frozen=True)
@@ -198,33 +177,27 @@ class FetchStage(Stage):
         return InstanceBlock.concat([a, b])
 
     def encode_params(self, params, schema):
-        parts = [_I32.pack(len(params.picks))]
-        for pidx in sorted(params.picks):
-            offsets = params.picks[pidx]
-            parts.append(struct.pack("!ii", pidx, len(offsets)))
-            parts.append(np.asarray(offsets, dtype=">i4").tobytes())
-        return b"".join(parts)
+        parts = sorted(params.picks)
+        return pack(
+            np.array(parts, dtype=np.int64),
+            np.array([len(params.picks[p]) for p in parts], dtype=np.int64),
+            [np.asarray(params.picks[p], dtype=np.int64) for p in parts],
+        )
 
     def decode_params(self, buf, schema):
-        (nparts,) = _I32.unpack_from(buf, 0)
-        at = _I32.size
-        picks: dict = {}
-        for _ in range(nparts):
-            pidx, count = struct.unpack_from("!ii", buf, at)
-            at += 8
-            picks[pidx] = np.frombuffer(buf, dtype=">i4", count=count, offset=at).tolist()
-            at += 4 * count
-        return FetchParams(picks=picks)
+        parts, counts, offsets = unpack(buf, np.int64, np.int64, np.int64)
+        if len(counts) != len(parts) or (np.diff(parts) <= 0).any():
+            raise ValueError("fetch picks need one count per partition, partitions in ascending order")
+        if ((counts < 0) | (counts > len(offsets))).any() or counts.sum() != len(offsets) or (offsets < 0).any():
+            raise ValueError("fetch pick counts must be >= 0 and add up to the offsets, and offsets >= 0")
+        picks = np.split(offsets, np.cumsum(counts)[:-1])
+        return FetchParams(picks={p: o.tolist() for p, o in zip(parts.tolist(), picks)})
 
     def encode_result(self, result, schema):
-        return _I32.pack(len(result)) + pack_block(result)
+        return pack(result.ids, result.labels, result.values)
 
     def decode_result(self, buf, schema, params):
-        (count,) = _I32.unpack_from(buf, 0)
-        block, at = unpack_block(buf, _I32.size, count, schema.num_features)
-        if at != len(buf):
-            raise ValueError(f"{len(buf) - at} trailing bytes after fetched rows")
-        return block
+        return check_block(*unpack(buf, np.int64, np.int32, np.float64), schema)
 
 
 @dataclass(frozen=True)
@@ -256,43 +229,29 @@ class NeighborsStage(Stage):
         return a.merge(b)
 
     def encode_params(self, params, schema):
-        mode = 1 if params.cfg.numeric_mode is DiffMode.RAMP else 0
-        head = struct.pack("!iiidd", params.k, mode, len(params.samples), params.cfg.t_eq, params.cfg.t_diff)
-        s = params.samples
-        return b"".join(
-            [
-                head,
-                s.ids.astype(">i8").tobytes(),
-                s.labels.astype(">i4").tobytes(),
-                _pack_f64(s.values),
-                _pack_f64(params.ranges.mins),
-                _pack_f64(params.ranges.maxs),
-            ]
+        s, cfg = params.samples, params.cfg
+        return pack(
+            np.array([params.k, cfg.numeric_mode is DiffMode.RAMP], dtype=np.int64),
+            np.array([cfg.t_eq, cfg.t_diff]),
+            s.ids,
+            s.labels,
+            s.values,
+            params.ranges.mins,
+            params.ranges.maxs,
         )
 
     def decode_params(self, buf, schema):
-        k, mode, m, t_eq, t_diff = struct.unpack_from("!iiidd", buf, 0)
-        at = struct.calcsize("!iiidd")
-        a = schema.num_features
-        ids = np.frombuffer(buf, dtype=">i8", count=m, offset=at).astype(np.int64)
-        at += 8 * m
-        labels = np.frombuffer(buf, dtype=">i4", count=m, offset=at).astype(np.int32)
-        at += 4 * m
-        flat, at = _unpack_f64(buf, at, m * a)
-        values = flat.reshape(m, a)
-        mins, at = _unpack_f64(buf, at, a)
-        maxs, _ = _unpack_f64(buf, at, a)
+        f8, i8 = np.float64, np.int64
+        head, thresholds, ids, labels, values, mins, maxs = unpack(buf, i8, f8, i8, np.int32, f8, f8, f8)
+        if len(head) != 2 or head[0] < 1 or head[1] not in (0, 1) or len(thresholds) != 2:
+            raise ValueError("neighbour params need k >= 1, a mode flag of 0 or 1 and two thresholds")
         mask = schema.numeric_mask()
-        cfg = DiffConfig(
-            numeric_mode=DiffMode.RAMP if mode else DiffMode.LINEAR, t_eq=t_eq, t_diff=t_diff
-        )
-        return NeighborParams(
-            samples=InstanceBlock(ids, labels, values),
-            k=k,
-            ranges=FeatureRange(mins, maxs, mask),
-            cfg=cfg,
-            numeric_mask=mask,
-        )
+        # ModelError (a ValueError) on a length other than a or bad thresholds
+        ranges = FeatureRange(mins, maxs, mask)
+        if np.isnan(ranges.mins[mask]).any() or np.isnan(ranges.maxs[mask]).any():
+            raise ValueError("neighbour params have a NaN numeric range")
+        cfg = DiffConfig(DiffMode.RAMP if head[1] else DiffMode.LINEAR, *thresholds.tolist())
+        return NeighborParams(check_block(ids, labels, values, schema), int(head[0]), ranges, cfg, mask)
 
     def encode_result(self, result, schema):
         return result.encode()

@@ -1,5 +1,5 @@
 """Shared test helpers: randomized mixed-type datasets, a full-sort
-neighbour reference, and cluster workers."""
+neighbour reference, damaged wire messages, and cluster workers."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema, feature_diffs
 
@@ -80,6 +81,24 @@ def brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num
             )
         out.append(row)
     return out
+
+
+def wire_damage(buf: bytes, dtypes, data, cuts=None) -> list[bytes]:
+    """Damaged copies of a `wire` message of the given dtypes: its
+    truncations at `cuts` (default: every one), a one-byte extension, and
+    one element count set to another value, drawn from hypothesis `data`."""
+    bad = [buf[:cut] for cut in (range(len(buf)) if cuts is None else cuts)]
+    bad.append(buf + bytes([data.draw(st.integers(0, 255), label="extra byte")]))
+    fields, at = [], 0
+    for dtype in dtypes:
+        fields.append(at)
+        at += 8 + int.from_bytes(buf[at : at + 8], "big") * np.dtype(dtype).itemsize
+    if fields:
+        at = data.draw(st.sampled_from(fields), label="count field")
+        old = int.from_bytes(buf[at : at + 8], "big")
+        new = data.draw(st.integers(0, 2**64 - 1).filter(lambda v: v != old), label="count")
+        bad.append(buf[:at] + new.to_bytes(8, "big") + buf[at + 8 :])
+    return bad
 
 
 def spawn_worker(threads: int = 1):

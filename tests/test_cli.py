@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from direlieff.cli import _default_workers, main
+from direlieff.cli import main
 from direlieff.ingest import DatasetSource, load
 from direlieff.model import RankConfig, WeightVector
 from direlieff.pipeline import rank, read_weights_csv, write_weights_csv
@@ -310,11 +310,3 @@ class TestUsage:
             main(["rank", "--input", data_csv, "--backend", "cluster",
                   "--cluster-workers", "nocolon"])
         assert err.value.code == 2
-
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.delenv("DIRELIEFF_WORKERS", raising=False)
-        assert _default_workers() == 1
-        monkeypatch.setenv("DIRELIEFF_WORKERS", "3")
-        assert _default_workers() == 3
-        monkeypatch.setenv("DIRELIEFF_WORKERS", "junk")
-        assert _default_workers() == 1

@@ -1,24 +1,34 @@
 """Wire protocol and multi-process worker runs."""
 
+import json
+import socket
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from direlieff.cluster import (
+    MSG_ASSIGN_PARTITIONS,
     MSG_ERROR,
     MSG_REGISTER,
     MSG_RUN_STAGE,
     MSG_SHUTDOWN,
+    MSG_STAGE_RESULT,
+    PROTOCOL_VERSION,
     ClusterEngine,
     ClusterError,
+    encode_assignment,
     encode_frame,
     parse_frame,
+    read_frame,
 )
 from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset
 from direlieff.model import DiffConfig, DiffMode, RankConfig
 from direlieff.pipeline import compute_priors, compute_ranges, rank, select_samples
-from direlieff.stages import NEIGHBORS, PRIORS, RANGES, NeighborParams, pack_block, unpack_block
+from direlieff.stages import NEIGHBORS, PRIORS, RANGES, NeighborParams, check_block
+from direlieff.wire import pack, unpack
 
 from _support import random_mixed_block, reap, spawn_worker
 
@@ -78,11 +88,10 @@ class TestBlockWire:
     def test_round_trip_exact(self, seed):
         rng = np.random.default_rng(seed)
         n, a = int(rng.integers(1, 20)), int(rng.integers(1, 8))
-        _, block = random_mixed_block(rng, n, a, 0, 2)
-        buf = pack_block(block)
-        assert len(buf) == n * (8 + 4 + 8 * a)
-        out, offset = unpack_block(buf, 0, n, a)
-        assert offset == len(buf)
+        schema, block = random_mixed_block(rng, n, a, 0, 2)
+        buf = pack(block.ids, block.labels, block.values)
+        assert len(buf) == 3 * 8 + n * (8 + 4 + 8 * a)
+        out = check_block(*unpack(buf, np.int64, np.int32, np.float64), schema)
         assert np.array_equal(out.ids, block.ids)
         assert np.array_equal(out.labels, block.labels)
         # bit pattern comparison: NaNs and signed zeros must survive too
@@ -216,6 +225,42 @@ class TestClusterRuns:
             eng.connect()
 
 
+def fake_worker(hello: dict):
+    """A listening socket that greets one driver with REGISTER `hello`,
+    then records what it reads next (b"" once the driver closes)."""
+    srv = socket.create_server(("127.0.0.1", 0))
+    seen = []
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            conn.sendall(encode_frame(MSG_REGISTER, json.dumps(hello).encode("utf-8")))
+            seen.append(conn.recv(1))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return srv, thread, seen
+
+
+class TestHandshake:
+    @pytest.mark.parametrize("protocol", [None, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1])
+    def test_other_protocol_version_rejected(self, protocol):
+        hello = {"threads": 1} if protocol is None else {"threads": 1, "protocol": protocol}
+        srv, thread, seen = fake_worker(hello)
+        host, port = srv.getsockname()[:2]
+        try:
+            eng = ClusterEngine([(host, port)], timeout=10.0)
+            want = f"worker {host}:{port}: protocol {protocol}, expected {PROTOCOL_VERSION}"
+            with pytest.raises(ClusterError, match=want):
+                eng.connect()
+            thread.join(timeout=10.0)
+        finally:
+            srv.close()
+        assert not thread.is_alive()
+        assert seen == [b""]  # the driver closed the connection
+        assert eng._conns == []
+
+
 class TestWorkerProcess:
     def test_malformed_frame_exits_nonzero(self):
         import socket as socketlib
@@ -249,6 +294,28 @@ class TestWorkerProcess:
             reply_tag, payload = read_frame(conn)
             assert reply_tag == MSG_ERROR
             assert b"RUN_STAGE before ASSIGN_PARTITIONS" in payload
+            conn.sendall(encode_frame(MSG_SHUTDOWN, b""))
+            conn.close()
+        finally:
+            (code,) = reap([proc])
+        assert code == 0
+
+    def test_truncated_assignment_reports_error(self, mixed_dataset):
+        proc, (host, port) = spawn_worker()
+        parts = [(i, mixed_dataset.partition(i)) for i in range(mixed_dataset.num_partitions)]
+        payload = encode_assignment(1 << 20, mixed_dataset.schema, parts)
+        try:
+            conn = socket.create_connection((host, port), timeout=10)
+            assert read_frame(conn)[0] == MSG_REGISTER
+            conn.sendall(encode_frame(MSG_ASSIGN_PARTITIONS, payload[:-3]))
+            reply_tag, detail = read_frame(conn)
+            assert reply_tag == MSG_ERROR
+            assert b"ValueError" in detail
+            # the connection is still served: the whole payload is stored
+            conn.sendall(encode_frame(MSG_ASSIGN_PARTITIONS, payload))
+            reply_tag, reply = read_frame(conn)
+            assert reply_tag == MSG_STAGE_RESULT
+            assert reply.endswith(pack(np.array([sum(len(block) for _, block in parts)])))
             conn.sendall(encode_frame(MSG_SHUTDOWN, b""))
             conn.close()
         finally:

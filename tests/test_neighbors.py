@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import brute_force_entries, grid_entries
+from _support import brute_force_entries, grid_entries, wire_damage
 from direlieff import neighbors
 from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock
 from direlieff.neighbors import NeighborMatrix
@@ -325,7 +325,9 @@ def same_matrix(x, y):
 
 
 class TestMatrixDecode:
-    HEADER = 16  # classes, samples, k, features as big-endian int32
+    # wire arrays of `NeighborMatrix.encode`: header, counts, distances, ids, rows
+    DTYPES = (np.int64, np.int64, np.float64, np.int64, np.float64)
+    HEAD = 8  # the header's 4 values start after its element count
 
     @given(inputs=neighbor_inputs(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -333,22 +335,21 @@ class TestMatrixDecode:
         nn, buf, expected = encoded(inputs)
         assert same_matrix(NeighborMatrix.decode(buf, *expected), nn)
         num_cells = nn.count.size
-        counts_end = self.HEADER + 4 * num_cells
+        counts_at = self.HEAD + 8 * 4 + 8
+        counts_end = counts_at + 8 * num_cells
         # every truncation of the header and counts, and some of the entries
-        payload_cuts = []
+        cuts = [*range(counts_end)]
         if len(buf) > counts_end:
-            payload_cuts = data.draw(st.lists(st.integers(counts_end, len(buf) - 1), max_size=8), label="cuts")
-        for cut in [*range(counts_end), *payload_cuts]:
+            cuts += data.draw(st.lists(st.integers(counts_end, len(buf) - 1), max_size=8), label="cuts")
+        for bad in wire_damage(buf, self.DTYPES, data, cuts):
             with pytest.raises(ValueError):
-                NeighborMatrix.decode(buf[:cut], *expected)
-        with pytest.raises(ValueError):
-            NeighborMatrix.decode(buf + bytes([data.draw(st.integers(0, 255))]), *expected)
-        # a header field or a cell count set to any other value
+                NeighborMatrix.decode(bad, *expected)
+        # a header value or a cell count set to any other value
         field = data.draw(st.integers(0, 3 + num_cells), label="field")
-        at = 4 * field if field < 4 else self.HEADER + 4 * (field - 4)
-        old = int.from_bytes(buf[at : at + 4], "big", signed=True)
-        new = data.draw(st.integers(-(2**31), 2**31 - 1).filter(lambda v: v != old), label="value")
-        bad = buf[:at] + new.to_bytes(4, "big", signed=True) + buf[at + 4 :]
+        at = self.HEAD + 8 * field if field < 4 else counts_at + 8 * (field - 4)
+        old = int.from_bytes(buf[at : at + 8], "big", signed=True)
+        new = data.draw(st.integers(-(2**63), 2**63 - 1).filter(lambda v: v != old), label="value")
+        bad = buf[:at] + new.to_bytes(8, "big", signed=True) + buf[at + 8 :]
         with pytest.raises(ValueError):
             NeighborMatrix.decode(bad, *expected)
 
@@ -362,7 +363,7 @@ class TestMatrixDecode:
         for cut in range(len(buf)):
             with pytest.raises(ValueError):
                 NeighborMatrix.decode(buf[:cut], *expected)
-        with pytest.raises(ValueError, match="bytes of entries"):
+        with pytest.raises(ValueError, match="trailing"):
             NeighborMatrix.decode(buf + b"\x00", *expected)
 
     @pytest.mark.parametrize(
