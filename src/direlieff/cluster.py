@@ -10,8 +10,10 @@ shared registry.
 Frame layout: 4-byte big-endian payload length, 1-byte type tag, payload.
 Payloads past the REGISTER JSON and stage names are `wire` arrays; a
 partition travels as its ids, labels and values (`encode_assignment`).
-Each side folds partition results in partition order as they finish.
-Error policy is fail-fast: any worker failure aborts the whole run.
+Each worker thread folds its contiguous run of partitions from one zero
+(`fold_runs`); the worker combines its threads' results, and the driver
+the workers', in partition order.  Error policy is fail-fast: any worker
+failure aborts the whole run.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .engine import (
     EngineConfig,
     EngineError,
     PartitionedDataset,
-    fold_in_order,
+    fold_runs,
     split_sizes,
 )
 from .model import Schema
@@ -153,8 +155,9 @@ def encode_assignment(max_result_bytes: int, schema: Schema, parts) -> bytes:
 
 def decode_assignment(payload: bytes):
     """(result cap, schema, [(global index, block)]) of an ASSIGN_PARTITIONS
-    payload; ValueError unless it holds one cap, partition indexes >= 0 in
-    ascending order, and row counts >= 0 that add up to the rows."""
+    payload; ValueError unless it holds one cap, a schema, partition
+    indexes >= 0 in ascending order, and row counts >= 0 that add up to the
+    rows."""
     cap, schema_json, gidx, nrows, ids, labels, values = unpack(
         payload, np.int64, np.uint8, np.int64, np.int64, np.int64, np.int32, np.float64
     )
@@ -179,15 +182,7 @@ def _worker_run_stage(assignment, payload: bytes, threads: int) -> bytes:
         raise ClusterError("RUN_STAGE before ASSIGN_PARTITIONS")
     max_result_bytes, schema, assigned = assignment
     params = stage.decode_params(body, schema)
-
-    def job(item):
-        gidx, block = item
-        return stage.run_block(stage.make_zero(schema, params), block, params, schema, gidx)
-
-    if assigned:
-        result = fold_in_order(job, assigned, threads, stage.comb)
-    else:
-        result = stage.make_zero(schema, params)
+    result = fold_runs(stage, schema, params, assigned, threads)
     out = stage.encode_result(result, schema)
     if len(out) > max_result_bytes:
         raise ClusterError(f"stage {name!r} result of {len(out)} bytes exceeds cap {max_result_bytes}")

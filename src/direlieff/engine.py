@@ -1,11 +1,12 @@
 """A minimal partitioned engine for `InstanceBlock` datasets.
 
 A dataset is a schema plus an ordered list of `InstanceBlock` partitions.
-The engine has one action, `run_stage`: a named stage folds each partition
-from a fresh zero, and the partials are combined on the driver in partition
-order, so a commutative and associative combiner yields a result
-independent of how the work was scheduled.  Partitions are processed by a
-fixed pool of worker threads.
+The engine has one action, `run_stage`: the partitions are cut into one
+contiguous run per worker thread, each thread folds its run of partitions
+from one zero, and the runs' results are combined on the driver in
+partition order (`fold_runs`).  A stage whose fold and combiner are exact
+and associative, as every registered stage's are, yields a result
+independent of the thread count and of how the rows are partitioned.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "LocalEngine",
     "split_sizes",
     "draw_sample_positions",
-    "fold_in_order",
+    "fold_runs",
 ]
 
 DEFAULT_MAX_RESULT_BYTES = 6 * 2**30
@@ -84,17 +85,35 @@ def draw_sample_positions(n: int, m: int, seed: int) -> list[int]:
     return out
 
 
-def fold_in_order(job, items, threads: int, comb):
-    """`comb`-fold of `job(item)` over `items`, left to right.
+def fold_runs(stage, schema, params, parts, threads: int):
+    """`stage` folded over `parts`, (partition index, block) pairs in
+    ascending index order, on at most `threads` threads.
 
-    With more than one thread the jobs run on a pool; each result is folded
-    in as soon as it and every earlier one are done, so at most the
-    finished-but-unfolded results are held, not all of them.
+    The parts are cut into min(threads, len(parts)) contiguous runs
+    (`split_sizes`).  Each thread folds one run in order into one
+    `make_zero` with `run_block`, and the runs' results are combined with
+    `comb` in order; no parts gives the zero.  For every registered stage
+    this equals folding each partition from a fresh zero and combining in
+    partition order: ranges and priors are exact, fetched rows concatenate
+    in order, and the neighbour order is total.  One accumulator per thread
+    spares the neighbour stage a merge per partition and, once its cells
+    are full, the k-th cut.
     """
-    if threads == 1 or len(items) <= 1:
-        return functools.reduce(comb, map(job, items))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return functools.reduce(comb, pool.map(job, items))
+    runs, at = [], 0
+    for size in split_sizes(len(parts), max(1, min(threads, len(parts)))):
+        runs.append(parts[at : at + size])
+        at += size
+
+    def fold(run):
+        acc = stage.make_zero(schema, params)
+        for index, block in run:
+            acc = stage.run_block(acc, block, params, schema, index)
+        return acc
+
+    if len(runs) == 1:
+        return fold(runs[0])
+    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+        return functools.reduce(stage.comb, pool.map(fold, runs))
 
 
 class PartitionedDataset:
@@ -144,8 +163,8 @@ class PartitionedDataset:
 class LocalEngine:
     """Runs stages over a dataset's partitions with a thread pool.
 
-    Per-partition results are combined sequentially on the driver in
-    partition order.
+    Each thread's result, the fold of its contiguous run of partitions, is
+    combined sequentially on the driver in partition order.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -155,17 +174,12 @@ class LocalEngine:
         return [len(ds.partition(i)) for i in range(ds.num_partitions)]
 
     def run_stage(self, ds: PartitionedDataset, stage, params):
-        """Run a registered stage: per-partition `run_block` from a fresh
-        zero, then the stage combiner in partition order.  The encoded
-        result is checked against the byte cap."""
-        schema = ds.schema
-
-        def job(i):
-            acc = stage.make_zero(schema, params)
-            return stage.run_block(acc, ds.partition(i), params, schema, i)
-
-        result = fold_in_order(job, range(ds.num_partitions), self.config.workers, stage.comb)
-        nbytes = len(stage.encode_result(result, schema))
+        """Run a registered stage with `fold_runs`: each thread's
+        contiguous run of partitions from one zero, then the stage combiner
+        in run order.  The encoded result is checked against the byte cap."""
+        parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]
+        result = fold_runs(stage, ds.schema, params, parts, self.config.workers)
+        nbytes = len(stage.encode_result(result, ds.schema))
         if nbytes > self.config.max_result_bytes:
             raise ResultSizeError(
                 f"stage {stage.name!r} result of {nbytes} bytes exceeds cap {self.config.max_result_bytes}"

@@ -107,11 +107,15 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
-        feats = tuple(
-            FeatureMeta(name=c["name"], kind=FeatureKind(c["kind"]), index=i)
-            for i, c in enumerate(d["features"])
-        )
-        return cls(features=feats, class_labels=tuple(d["class_labels"]))
+        """The schema `to_dict` wrote; ModelError on any other shape."""
+        try:
+            feats = tuple(
+                FeatureMeta(name=c["name"], kind=FeatureKind(c["kind"]), index=i)
+                for i, c in enumerate(d["features"])
+            )
+            return cls(features=feats, class_labels=tuple(d["class_labels"]))
+        except (KeyError, TypeError) as exc:
+            raise ModelError(f"not a schema: {exc!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,12 +33,18 @@ would hold the GIL so often that threads running partitions in parallel
 stop scaling.  Every call still takes the GIL briefly, which is why chunks
 are large.
 
-Per class, a row can enter a cell only at or below the cell's current
-worst entry, so most rows of a tile are dropped by one comparison against
-the cells' bounds.  While a cell is not yet full, one `np.partition` along
-each sample's row of the tile first cuts the rows at its k-th distance.
-The survivors and their cells' current entries are sorted together by
-(sample, distance, id), and the first k of each sample are written back.
+A row can enter only its own class's cell, and only at or below the
+cell's current worst entry.  So one selection serves all classes of a tile:
+each tile column is compared with `bound[class of its row, sample]`, which
+drops most rows, and one `flatnonzero` and one `lexsort` over the
+survivors, keyed by (cell, distance, id) with the cell numbered class * m
++ sample, merge them with their cells' current entries; the first k of
+each cell are written back through flat slot indices.  The selection's
+numpy calls are per (tile, sample group), not per class.  While a class
+still has a cell that is not full, one `np.partition` along each sample's
+row of that class's columns first cuts the rows at its k-th distance.  An
+engine folds a thread's whole run of partitions into one matrix, so after
+its first tile the cells are full and the cut is almost never needed.
 `tiling` bounds the tile, the feature-major copy and the chunk, so the
 scratch does not grow with the sample count times the partition size.
 """
@@ -210,14 +216,13 @@ class NeighborMatrix:
         so each distance has the bits that `.sum(axis=-1)` gives over the
         sample's row of diffs.  One call per chunk, not one per feature,
         keeps the GIL round trips per element few.  A sample's own row gets
-        distance +inf, which excludes it by id.  Each class's rows of the
-        tile then go to `_offer_nearest`.
+        distance +inf, which excludes it by id.  The tile then goes to
+        `_offer_tile`, which selects for all classes at once.
         """
         p, m, a = len(block), self.num_samples, block.values.shape[1]
         if p == 0 or m == 0:
             return
-        ids, labels, values = block.ids, block.labels, block.values
-        class_rows = [np.flatnonzero(labels == label) for label in range(self.num_classes)]
+        ids, values = block.ids, block.values
         # row of each sample's own instance in the block; -1 if absent
         by_id = np.argsort(ids)
         found = by_id[np.searchsorted(ids, self.sample_ids, sorter=by_id).clip(max=p - 1)]
@@ -247,63 +252,78 @@ class NeighborMatrix:
                     own = self_row[s0:s1]
                     inside = np.flatnonzero((own >= r0) & (own < r1))
                     dist[inside, own[inside] - r0] = np.inf
-                    for label, members in enumerate(class_rows):
-                        sel = members[np.searchsorted(members, r0) : np.searchsorted(members, r1)]
-                        if sel.size:
-                            self._offer_nearest(label, s0, dist[:, sel - r0], sel, block)
+                    self._offer_tile(dist, s0, r0, block)
         finally:
             np.setbufsize(bufsize)
 
-    def _offer_nearest(self, label, s0, dist, sel, block) -> None:
-        """Add each sample's k nearest rows among `sel`, the class-`label`
-        rows of `block`, to its cell; column j of `dist` holds row `sel[j]`'s
-        distances to the samples from `s0` on.
+    def _offer_tile(self, dist, s0, r0, block) -> None:
+        """Add each cell's nearest rows among one tile's to the cell: column
+        j of `dist` holds the distances of the block's row `r0 + j` to the
+        samples from `s0` on.
 
-        Only rows that can enter a cell are taken: at or below its last
-        slot's distance, and at that distance only with a smaller id.  While
-        a cell is not full, rows past each sample's k-th distance are cut
-        first; ties at the k-th distance survive.  The candidates and the
-        current entries of their cells are sorted together by (sample,
-        distance, id), and the first k of each sample are written back.
+        A row can enter only its own class's cell, and only at or below the
+        cell's last slot's distance, and at that distance only with a smaller
+        id; one comparison of the tile with each column's class bounds drops
+        the rest.  While a class has a cell that is not full, its rows past
+        each sample's k-th distance are cut first; ties at the k-th distance
+        survive.  The candidates and the current entries of their cells are
+        sorted together by (cell, distance, id), the cell being class * m +
+        sample, and the first k of each cell are written back.
         """
-        k = self.k
-        cells = slice(s0, s0 + len(dist))
-        bound, worst_id = self.dist[label, cells, k - 1], self.ids[label, cells, k - 1]
-        # rows past a full cell's worst entry cannot enter it; the bound of a
-        # cell that is not full is finite, which drops the +inf own rows
-        keep = dist <= bound[:, None]
-        if len(sel) > k and (bound == _MAX_DIST).any():
-            # a cell that is not full yet takes any row: cut at the k-th first
-            keep &= dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+        k, m = self.k, self.num_samples
+        g, run = dist.shape
+        labels = block.labels[r0 : r0 + run]
+        # (samples, classes) last slots; a cell that is not full has a finite
+        # bound, which drops the +inf own rows
+        bound = np.ascontiguousarray(self.dist[:, s0 : s0 + g, k - 1].T)
+        keep = dist <= np.take(bound, labels, axis=1)
+        if (bound == _MAX_DIST).any():
+            # a cell that is not full yet takes any row of its class: cut at
+            # the k-th first
+            for label in np.flatnonzero((bound == _MAX_DIST).any(axis=0)):
+                cols = np.flatnonzero(labels == label)
+                if len(cols) > k:
+                    near = dist[:, cols]
+                    keep[:, cols] &= near <= np.partition(near, k - 1, axis=1)[:, k - 1 : k]
         # one flat scan; `np.nonzero` on a 2-d mask costs over ten times more
         hits = np.flatnonzero(keep)
         if not hits.size:
             return
-        s_idx, at = np.divmod(hits, keep.shape[1])
-        cand = block.ids[sel[at]]
+        s_idx, at = np.divmod(hits, run)
+        label = labels[at]
+        cell = label * m + s0 + s_idx
+        d, cand = dist.reshape(-1)[hits], block.ids[r0 + at]
+        last = cell * k + k - 1
+        to_d, to_i, to_v = self._slots()
         # a row at a full cell's bound enters only on a smaller id
-        live = (dist[s_idx, at] < bound[s_idx]) | (cand < worst_id[s_idx])
-        s_idx, at, cand = s_idx[live], at[live], cand[live]
-        if not s_idx.size:
-            return
+        live = (d < to_d[last]) | (cand < to_i[last])
+        if not live.all():
+            cell, d, cand, at = cell[live], d[live], cand[live], at[live]
+            if not cell.size:
+                return
+            label, s_idx = label[live], s_idx[live]
         # the cells offered to: their current entries, then the candidates
-        offered = np.bincount(s_idx)  # candidates per sample
-        touched = s0 + np.flatnonzero(offered)
-        n_held = self.count[label, touched]
-        held = np.arange(k) < n_held[:, None]
-        s_all = np.concatenate([np.repeat(touched, n_held), s0 + s_idx])
-        d_all = np.concatenate([self.dist[label, touched][held], dist[s_idx, at]])
-        i_all = np.concatenate([self.ids[label, touched][held], cand])
-        v_all = np.concatenate([self.values[label, touched][held], block.values[sel[at]]])
-        by_key = np.lexsort((i_all, d_all, s_all))
-        s_sorted = s_all[by_key]
-        slot = np.arange(len(by_key)) - np.searchsorted(s_sorted, s_sorted)
+        offered = np.bincount(label * g + s_idx)  # candidates per tile cell
+        in_tile = np.flatnonzero(offered)
+        touched = in_tile // g * m + s0 + in_tile % g
+        n_held = self.count.reshape(-1)[touched]
+        held = (touched[:, None] * k + np.arange(k))[np.arange(k) < n_held[:, None]]
+        c_all = np.concatenate([np.repeat(touched, n_held), cell])
+        d_all = np.concatenate([to_d[held], d])
+        i_all = np.concatenate([to_i[held], cand])
+        by_key = np.lexsort((i_all, d_all, c_all))
+        c_sorted = c_all[by_key]
+        slot = np.arange(len(by_key)) - np.searchsorted(c_sorted, c_sorted)
         top = slot < k
         kept = by_key[top]
-        to = (label * self.num_samples + s_sorted[top]) * k + slot[top]
-        to_d, to_i, to_v = self._slots()
-        to_d[to], to_i[to], to_v[to] = d_all[kept], i_all[kept], v_all[kept]
-        self.count[label, touched] = np.minimum(n_held + offered[touched - s0], k)
+        to = c_sorted[top] * k + slot[top]
+        to_d[to], to_i[to] = d_all[kept], i_all[kept]
+        # rows move slot to slot and are copied once; the right-hand side is
+        # gathered before any slot is written
+        moved = kept < len(held)
+        to_v[to[moved]] = to_v[held[kept[moved]]]
+        to_v[to[~moved]] = block.values[r0 + at[kept[~moved] - len(held)]]
+        self.count.reshape(-1)[touched] = np.minimum(n_held + offered[in_tile], k)
 
     def merge(self, other: "NeighborMatrix") -> "NeighborMatrix":
         """Keep each cell's k best entries of the two matrices' union."""

@@ -1,9 +1,9 @@
 """Named computation stages shared by the local and cluster backends.
 
-A stage bundles the per-partition fold over one `InstanceBlock`
-(`run_block`), the driver-side combiner, and codecs for its parameters
-and result.  Backends only ever refer to stages by name, so nothing
-callable crosses the wire.
+A stage bundles the fold of one `InstanceBlock` partition into an
+accumulator (`run_block`), the combiner of two accumulators, and codecs
+for its parameters and result.  Backends only ever refer to stages by
+name, so nothing callable crosses the wire.
 
 Every codec writes its message with `wire.pack` and reads it back with one
 `wire.unpack` call, then checks what its stage relies on, so a malformed
@@ -60,6 +60,12 @@ class Stage:
         raise NotImplementedError
 
     def run_block(self, acc, block: InstanceBlock, params, schema: Schema, partition_index: int):
+        """`acc` with partition `partition_index`'s `block` folded in; may
+        update `acc` in place.  A backend calls it once per partition: each
+        thread's contiguous run of partitions, in ascending order, from one
+        `make_zero`.  So folding a run from one zero must give what folding
+        each partition from a fresh zero and combining with `comb` in
+        partition order gives."""
         raise NotImplementedError
 
     def comb(self, a, b):

@@ -1,15 +1,21 @@
 """Shared test helpers: randomized mixed-type datasets, a full-sort
-neighbour reference, damaged wire messages, and cluster workers."""
+neighbour reference, damaged wire messages, and cluster workers, as
+processes or in-process threads."""
 
 from __future__ import annotations
 
+import queue
 import re
+import socket
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import strategies as st
 
+from direlieff.cluster import serve_worker
 from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema, feature_diffs
 
 
@@ -127,3 +133,30 @@ def reap(procs, timeout: float = 15.0) -> list[int]:
             proc.kill()
             codes.append(proc.wait())
     return codes
+
+
+@contextmanager
+def worker_thread(threads: int = 1):
+    """An in-process `serve_worker` session on an ephemeral port; yields its
+    (host, port) and, on exit, waits for the session to end.  A session no
+    driver joined is ended by connecting and hanging up."""
+    bound: queue.Queue = queue.Queue()
+    thread = threading.Thread(
+        target=serve_worker,
+        args=("127.0.0.1", 0, threads),
+        kwargs={"on_listen": lambda host, port: bound.put((host, port))},
+        daemon=True,
+    )
+    thread.start()
+    addr = bound.get(timeout=10)
+    try:
+        yield addr
+    finally:
+        thread.join(timeout=1)
+        if thread.is_alive():
+            try:
+                socket.create_connection(addr, timeout=10).close()
+            except OSError:
+                pass
+            thread.join(timeout=30)
+        assert not thread.is_alive(), "worker session did not end"

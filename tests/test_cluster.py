@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import direlieff.cluster as cluster
 from direlieff.cluster import (
     MSG_ASSIGN_PARTITIONS,
     MSG_ERROR,
@@ -19,6 +20,7 @@ from direlieff.cluster import (
     PROTOCOL_VERSION,
     ClusterEngine,
     ClusterError,
+    decode_assignment,
     encode_assignment,
     encode_frame,
     parse_frame,
@@ -30,7 +32,7 @@ from direlieff.pipeline import compute_priors, compute_ranges, rank, select_samp
 from direlieff.stages import NEIGHBORS, PRIORS, RANGES, NeighborParams, check_block
 from direlieff.wire import pack, unpack
 
-from _support import random_mixed_block, reap, spawn_worker
+from _support import random_mixed_block, reap, spawn_worker, worker_thread
 
 
 class TestFraming:
@@ -321,3 +323,39 @@ class TestWorkerProcess:
         finally:
             (code,) = reap([proc])
         assert code == 0
+
+
+def assignment_with_schema(ds, schema_json: bytes) -> bytes:
+    """`ds`'s whole ASSIGN_PARTITIONS payload with the schema bytes replaced."""
+    parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]
+    arrays = unpack(
+        encode_assignment(1 << 20, ds.schema, parts), np.int64, np.uint8, np.int64, np.int64, np.int64, np.int32, np.float64
+    )
+    arrays[1] = np.frombuffer(schema_json, dtype=np.uint8)
+    return pack(*arrays)
+
+
+NOT_SCHEMAS = [
+    b"{}",
+    b"[1]",
+    json.dumps({"features": [{"name": "f0", "kind": "numeric"}], "class_labels": []}).encode(),
+]
+
+
+class TestAssignmentSchema:
+    """Schema JSON that parses but is not a schema is a ValueError on the
+    worker, an ERROR reply, and a ClusterError on the driver."""
+
+    @pytest.mark.parametrize("schema_json", NOT_SCHEMAS)
+    def test_decoder_raises_value_error(self, mixed_dataset, schema_json):
+        with pytest.raises(ValueError):
+            decode_assignment(assignment_with_schema(mixed_dataset, schema_json))
+
+    @pytest.mark.parametrize("schema_json", NOT_SCHEMAS)
+    def test_worker_reports_and_driver_raises(self, mixed_dataset, schema_json, monkeypatch):
+        monkeypatch.setattr(cluster, "encode_assignment", lambda *_: assignment_with_schema(mixed_dataset, schema_json))
+        with worker_thread() as (host, port):
+            eng = ClusterEngine([(host, port)], timeout=30.0)
+            with pytest.raises(ClusterError, match=f"worker {host}:{port}: .*ModelError"):
+                eng.distribute(mixed_dataset)
+            assert eng._conns == []  # the driver hung up, which ends the session

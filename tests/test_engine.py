@@ -1,11 +1,14 @@
 """Partitioned engine: dataset shape, the run_stage fold, sampling laws."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import random_mixed_block
+from _support import random_mixed_block, worker_thread
+from direlieff.cluster import ClusterEngine
 from direlieff.engine import (
     EngineConfig,
     EngineError,
@@ -15,9 +18,9 @@ from direlieff.engine import (
     draw_sample_positions,
     split_sizes,
 )
-from direlieff.model import Instance, InstanceBlock
+from direlieff.model import DiffConfig, DiffMode, FeatureRange, Instance, InstanceBlock
 from direlieff.pipeline import select_samples
-from direlieff.stages import FETCH, PRIORS, RANGES, FetchParams, PriorsStage
+from direlieff.stages import FETCH, NEIGHBORS, PRIORS, RANGES, FetchParams, NeighborParams, PriorsStage
 
 
 def make_ds(n, partitions, seed=0):
@@ -51,8 +54,9 @@ class TestSplitSizes:
 
 
 class TestAggregate:
-    """`run_stage`: each partition folded from a fresh zero, the partials
-    combined in partition order, the encoded result size capped."""
+    """`run_stage`: each thread's contiguous run of partitions folded from
+    one zero, the runs' results combined in partition order, the encoded
+    result size capped."""
 
     def test_count_shape(self):
         ds = make_ds(23, 3)
@@ -82,7 +86,7 @@ class TestAggregate:
         ds = make_ds(40, 4)
         got = LocalEngine().run_stage(ds, InPlacePriors(), None)
         want = np.bincount(whole(ds).labels, minlength=3)
-        assert got.tolist() == want.tolist()  # no cross-partition zero sharing
+        assert got.tolist() == want.tolist()  # no zero shared between runs
 
     def test_result_size_cap(self):
         ds = make_ds(100, 2)
@@ -101,6 +105,77 @@ class TestAggregate:
         assert np.array_equal(maxs, values.max(axis=0))
         assert np.array_equal(eng.run_stage(ds, PRIORS, None), np.bincount(labels, minlength=3))
         assert sum(eng.partition_lens(ds)) == n
+
+
+@st.composite
+def stage_cases(draw):
+    """A dataset cut into partitions of random sizes, empty ones included,
+    and parameters for every stage: random fetch picks, and a neighbour
+    search over drawn samples.  Signs are flipped at random in numeric
+    columns, so zeros of both signs meet in the ranges."""
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=7).filter(lambda s: sum(s) > 0), label="sizes")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    schema, block = random_mixed_block(rng, sum(sizes), 3, 2, int(rng.integers(2, 5)))
+    mask = schema.numeric_mask()
+    values = block.values.copy()
+    values[:, mask] *= np.where(rng.random((len(block), int(mask.sum()))) < 0.5, -1.0, 1.0)
+    block = InstanceBlock(block.ids, block.labels, values)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    ds = PartitionedDataset.from_blocks([block.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], schema)
+    picks = {
+        p: sorted(rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False).tolist())
+        for p, size in enumerate(sizes)
+        if size and rng.random() < 0.7
+    }
+    samples = block.take(rng.choice(len(block), size=int(rng.integers(1, min(len(block), 6) + 1)), replace=False))
+    ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+    cfg = DiffConfig(DiffMode.RAMP, t_eq=0.1, t_diff=0.5) if rng.random() < 0.5 else DiffConfig()
+    neighbor = NeighborParams.build(schema, samples, int(rng.integers(1, 6)), ranges, cfg)
+    return ds, [(RANGES, None), (PRIORS, None), (FETCH, FetchParams(picks=picks)), (NEIGHBORS, neighbor)]
+
+
+def per_partition_fold(ds, stage, params):
+    """The reference: each partition from a fresh zero, then `comb` in partition order."""
+    schema = ds.schema
+    return functools.reduce(
+        stage.comb,
+        (stage.run_block(stage.make_zero(schema, params), ds.partition(i), params, schema, i) for i in range(ds.num_partitions)),
+    )
+
+
+def result_arrays(stage, result) -> list:
+    if stage is NEIGHBORS:
+        return [result.dist, result.ids, result.values, result.count]
+    if stage is FETCH:
+        return [result.ids, result.labels, result.values]
+    return list(result) if stage is RANGES else [result]
+
+
+def assert_bit_equal(stage, got, want):
+    for x, y in zip(result_arrays(stage, got), result_arrays(stage, want), strict=True):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), stage.name
+
+
+class TestThreadRuns:
+    """Every stage on either backend, at any thread count, is bit-equal to
+    folding each partition from a fresh zero and combining the partials in
+    partition order, though each thread folds its whole run into one zero."""
+
+    @given(case=stage_cases(), threads=st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_local_engine(self, case, threads):
+        ds, stages = case
+        eng = LocalEngine(EngineConfig(workers=threads))
+        for stage, params in stages:
+            assert_bit_equal(stage, eng.run_stage(ds, stage, params), per_partition_fold(ds, stage, params))
+
+    @given(case=stage_cases(), threads=st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_cluster_worker(self, case, threads):
+        ds, stages = case
+        with worker_thread(threads) as addr, ClusterEngine([addr], timeout=30.0) as eng:
+            for stage, params in stages:
+                assert_bit_equal(stage, eng.run_stage(ds, stage, params), per_partition_fold(ds, stage, params))
 
 
 class TestTakeSample:

@@ -149,7 +149,7 @@ def neighbor_inputs(draw):
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 60))
     a = draw(st.integers(1, 40))
-    num_classes = draw(st.integers(1, 4))
+    num_classes = draw(st.integers(1, 5))
     k = draw(st.integers(1, 8))
     levels = draw(st.integers(2, 3))
     mask = rng.random(a) < 0.6
@@ -252,6 +252,67 @@ class TestOfferBlockSelection:
         nn.offer_block(block, values[1:], mask, ranges, DiffConfig())
         want = brute_force_entries(block, [9], values[1:], mask, ranges, DiffConfig(), 1, 1)
         assert grid_entries(nn) == want
+
+
+class TestAllClassSelection:
+    """Each (tile, sample group) is selected for all classes at once."""
+
+    K = 4
+
+    def case(self, c):
+        """Two blocks of two row tiles each against three sample groups:
+        three levels per feature and duplicated rows (ties at the k-th
+        distance), samples inside the first block and one outside, and for
+        c > 1 a class with fewer than k rows in the first tile."""
+        rng = np.random.default_rng(c)
+        n, m, a = 8000, 40, 3
+        values = rng.integers(0, 3, size=(n, a)).astype(np.float64)
+        values[rng.integers(0, n, size=300)] = values[7]
+        labels = rng.integers(0, c, size=n)
+        if c > 1:
+            labels[labels == c - 1] = 0
+            labels[[5, 9]] = c - 1  # the first tile's only rows of the last class
+            labels[rng.integers(2500, n, size=60)] = c - 1
+        block = InstanceBlock(rng.permutation(n).astype(np.int64) * 3, labels.astype(np.int32), values)
+        pick = rng.choice(n // 2, size=m, replace=False)
+        sample_ids = block.ids[pick]
+        sample_ids[-1] = 3 * n + 1  # its row's twin, outside the block
+        mask = np.array([True, True, False])
+        ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+        return block, sample_ids, values[pick], mask, ranges
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
+    def test_matches_full_sort_fresh_and_carried(self, c):
+        block, sample_ids, sample_values, mask, ranges = self.case(c)
+        k, cfg = self.K, DiffConfig()
+        first, second = block.slice(0, 4000), block.slice(4000, 8000)
+        rows, g, _ = neighbors.tiling(len(first), len(sample_ids), 3)
+        assert rows <= 2500 < len(first) and g < len(sample_ids)  # several tiles and groups
+        if c > 1:
+            assert np.count_nonzero(first.labels[:rows] == c - 1) < k
+        nn = NeighborMatrix(c, sample_ids, k, 3)
+        nn.offer_block(first, sample_values, mask, ranges, cfg)
+        assert grid_entries(nn) == brute_force_entries(first, sample_ids, sample_values, mask, ranges, cfg, c, k)
+        # the second block meets cells that are already full
+        assert (nn.count == k).all()
+        nn.offer_block(second, sample_values, mask, ranges, cfg)
+        want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, c, k + 1)
+        assert any(cell[k - 1][0] == cell[k][0] for row in want for cell in row)  # a tie at the k-th
+        assert grid_entries(nn) == [[cell[:k] for cell in row] for row in want]
+
+    def test_one_lexsort_per_tile_and_sample_group(self, monkeypatch):
+        c = 4
+        block, sample_ids, sample_values, mask, ranges = self.case(c)
+        part = block.slice(0, 2000)
+        rows, g, _ = neighbors.tiling(len(part), len(sample_ids), 3)
+        assert rows == len(part) and set(part.labels.tolist()) == set(range(c))
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys, **kw: sorts.append(len(keys)) or lexsort(keys, **kw))
+        nn = NeighborMatrix(c, sample_ids, self.K, 3)
+        nn.offer_block(part, sample_values, mask, ranges, DiffConfig())
+        # one row tile: one sort per sample group, not one per class as well
+        assert len(sorts) == -(-len(sample_ids) // g) == 3
 
 
 class TestPairwiseOrder:
