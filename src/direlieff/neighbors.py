@@ -7,60 +7,60 @@ order, yields the same k survivors.
 
 `NeighborMatrix` is the accumulator for the neighbour stage: dense
 (class, sample, k) arrays of each cell's k best entries, filled from
-instance blocks by `offer_block` and merged across partitions.  A block is
-filled tile by tile: a tile holds the distances from a group of samples to
-a run of the block's rows.  The run is first copied feature-major,
-(features, rows), so that every later pass reads and writes whole
-contiguous rows of one feature.  The tile is then filled one kernel chunk
-at a time: one `feature_diffs` call writes a chunk's diffs feature-major
-into a (features, samples, rows) buffer, and `pairwise_sum` adds its
-feature planes into the tile.
+instance blocks by `offer_block` and merged across partitions.
 
-The sum must keep the bits that `.sum(axis=-1)` gives over a row of
-features, since the distances decide the neighbours and the weights.  numpy
-adds a row in a fixed "pairwise" order (`pairwise_sum` in its
-`loops_utils.h.src`): up to 128 terms it keeps eight partial sums, one per
-feature index mod 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-and adds the remaining a mod 8 features one at a time; above 128 it splits
-at a multiple of 8 and recurses.  `pairwise_sum` replays that order with
-whole-plane calls, each adding cell by cell: every further block of eight
-feature planes is added into the first block, the tree is two stacked
-adds, and one reduction along the outer axis adds the tree's two halves
-and then the tail features in sequence.  So a chunk of 16-23 features
-costs one `feature_diffs` call and four summing calls, one more per further
-block of eight, and no call is made per feature; one call per feature
-would hold the GIL so often that threads running partitions in parallel
-stop scaling.  Every call still takes the GIL briefly, which is why chunks
-are large.
+A block is filled by filter, then refine.  A tile holds approximate
+distances from a group of samples to a run of the block's rows, each within
+a proven `slack` of the exact one (`_Filter`), and they serve only to drop
+the pairs that cannot enter any cell.  The approximation divides nothing
+per element: each feature's divisions move onto one scale per feature, the
+samples are scaled once per block, and a tile's rows once as they are
+copied feature-major, (features, rows), so that every later pass reads and
+writes whole contiguous rows of one feature.  A kernel chunk, a few samples
+against the whole run, is then a subtraction, an absolute value and, under
+the ramp, a shift and a clip, each one numpy call over all numeric
+features; nominal features are compared with `!=`.  One `np.add.reduce`
+over the feature axis adds the chunk's planes into the tile, plane after
+plane; the slack holds for any order of the sum.  No call is made per
+feature: one call per feature would hold the GIL so often that threads
+running partitions in parallel stop scaling.  Every call still takes the
+GIL briefly, which is why chunks are large.
+
+The exact distance of every pair that passes is then computed by
+`feature_diffs(...).sum(axis=-1)` over the gathered (row, sample) pairs,
+the definition the sequential reference uses, and only exact distances
+are compared, sorted and stored.  On mixed ramp data with full cells about
+2% of the pairs pass, and on numeric data well under 1%.
 
 A row can enter only its own class's cell, and only at or below the
 cell's current worst entry.  So one selection serves all classes of a tile:
-each tile column is compared with `bound[class of its row, sample]`, which
-drops most rows, and one `flatnonzero` and one `lexsort` over the
-survivors, keyed by (cell, distance, id) with the cell numbered class * m
-+ sample, merge them with their cells' current entries; the first k of
-each cell are written back through flat slot indices.  The selection's
-numpy calls are per (tile, sample group), not per class.  While a class
-still has a cell that is not full, one `np.partition` along each sample's
-row of that class's columns first cuts the rows at its k-th distance.  An
-engine folds a thread's whole run of partitions into one matrix, so after
-its first tile the cells are full and the cut is almost never needed.
-`tiling` bounds the tile, the feature-major copy and the chunk, so the
-scratch does not grow with the sample count times the partition size.
+each tile column is compared with `bound[class of its row, sample]` plus
+the slack, which drops most rows, and one `flatnonzero` and one `lexsort`
+over the refined survivors, keyed by (cell, distance, id) with the cell
+numbered class * m + sample, merge them with their cells' current entries;
+the first k of each cell are written back through flat slot indices.  The
+selection's numpy calls are per (tile, sample group), not per class.  While
+a class still has a cell that is not full, the rows past each sample's k-th
+approximate distance plus twice the slack are cut first.  An engine folds
+a thread's whole run of partitions into one matrix, so after its first tile
+the cells are full and the cut is almost never needed.  `tiling` bounds the
+tile, the feature-major copy and the chunk, so the scratch does not grow
+with the sample count times the partition size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import DiffConfig, FeatureRange, InstanceBlock, feature_diffs
+from .model import DiffConfig, DiffMode, FeatureRange, InstanceBlock, feature_diffs
 from .wire import pack, unpack
 
-__all__ = ["NeighborMatrix", "pairwise_sum", "tiling"]
+__all__ = ["NeighborMatrix", "tiling"]
 
 # Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
 # (samples, rows) distance tile (256 KiB), and the feature-major copy of the
-# tile's rows and one (features, samples, rows) kernel chunk (1 MiB each).
+# tile's rows, one (features, samples, rows) kernel chunk and each of the
+# exact refine's three (pairs, features) buffers (1 MiB each).
 # Each kernel chunk and each tile costs a few GIL round trips, so threads
 # running partitions in parallel scale better with larger ones; a chunk
 # larger than the core's cache slows each pass, and a larger scratch raises
@@ -68,9 +68,11 @@ __all__ = ["NeighborMatrix", "pairwise_sum", "tiling"]
 TILE_ELEMS = 1 << 15
 CHUNK_ELEMS = 1 << 17
 # Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get tiles and
-# chunks `LARGE_SCALE` times larger.  With more threads than cores, every
-# GIL round trip can leave a core idle, and a larger chunk makes fewer of
-# them per element.  One thread runs faster on the smaller, cache-resident
+# chunks `LARGE_SCALE` times larger.  Threads running partitions in
+# parallel meet at the GIL: one that ends a numpy call while the other
+# holds the lock sleeps until it is let go, and each tile's selection holds
+# it through a run of small calls.  Larger chunks and tiles make fewer of
+# both per element.  One thread runs faster on the smaller, cache-resident
 # chunk, and the larger scratch is about half of a block at this size, so
 # smaller blocks keep the smaller caps.
 LARGE_BLOCK_ELEMS = 1 << 21
@@ -83,8 +85,8 @@ TILE_MIN_ROWS = 2048
 # short rows into longer loops, which costs more than the arithmetic.
 KERNEL_BUFSIZE = 1024
 _MAX_DIST = float(np.finfo(np.float64).max)
-# numpy's pairwise summation block: up to this many terms, eight partials
-_PAIRWISE_BLOCK = 128
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 
 
 def tiling(p: int, m: int, a: int) -> tuple[int, int, int]:
@@ -114,46 +116,119 @@ def _even(n: int, cap: int) -> int:
     return -(-n // parts)
 
 
-def pairwise_sum(fm: np.ndarray, out: np.ndarray, fours: np.ndarray) -> None:
-    """Sum `fm` over its first axis into `out`, in numpy's pairwise order.
+def _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg) -> np.ndarray:
+    """The exact distances of `values[rows[i]]` to `sample_values[samples[i]]`:
+    `feature_diffs(...).sum(axis=-1)` over the paired rows, the distance the
+    sequential reference uses.  Pairs are taken at most `CHUNK_ELEMS` diffs
+    at a time, and one buffer holds the paired rows and their diffs."""
+    out = np.empty(len(rows))
+    step = max(1, CHUNK_ELEMS // values.shape[1])
+    scratch = np.empty((3, min(step, len(rows)), values.shape[1]))
+    for i in range(0, len(rows), step):
+        j = slice(i, i + step)
+        x, y, diffs = scratch[:, : len(rows[j])]
+        np.take(values, rows[j], axis=0, out=x, mode="clip")
+        np.take(sample_values, samples[j], axis=0, out=y, mode="clip")
+        out[j] = feature_diffs(x, y, numeric_mask, ranges, cfg, diffs).sum(axis=-1)
+    return out
 
-    `fm` is (n, ...) and holds each cell's n terms in one column; the
-    result equals `.sum(axis=-1)` over the same terms laid out as rows, bit
-    for bit.  `fm` is scratch and is overwritten; `fours` is a (4, ...)
-    scratch buffer of the same trailing shape, used when 8 <= n < 16.
+
+class _Filter:
+    """Approximate distances for one block, with no division per element,
+    and a bound on their error.
+
+    Each numeric feature with a width gets a scale, 1 / safe_width, divided
+    also by the band t_diff - t_eq under the ramp, which also gets one
+    shift, t_eq / (t_diff - t_eq).  A diff is then |x·s - y·s|, and under
+    the ramp clip(|x·s - y·s| - shift, 0, 1): the exact diff's operations
+    with the divisions moved onto the scale.  The samples are scaled once
+    per block, a tile's rows once as they are copied.  Features are held as
+    planes in a new order: numeric features with a width, then nominal ones,
+    compared with `!=` unscaled as `feature_diffs` compares them.  A
+    zero-width feature's diff is 0 in both distances and has no plane.
+
+    The error bound.  Write u = 2**-53 and, for one pair (x, y) and one
+    numeric plane of scale s, r = |x - y|·s, G = (|x| + |y|)·s and q =
+    t_eq / band (0 when linear).  To first order in u, the exact diff
+    before the clip is within 4u·r + 2u·q of r - q: it rounds |x - y|, the
+    division by the width, and under the ramp the subtraction of t_eq and
+    the division by the band.  The approximation is within 4u·r + u·G +
+    2u·q of r - q: it rounds the scale (twice under the ramp), the two
+    products, their difference and the shift.  The clip only brings the two
+    closer, and r <= G <= 2M, M being the plane's largest |value|·s over the
+    tile's rows and the samples; so the two diffs differ by at most
+    18u·M + 4u·q, and by at most 1 under the ramp.  A plane's error bound is
+    e = 24u·M + 8u·shift, with M from the min and max of the scaled values.
+    Nominal planes and zero-width features are exact in both.  A sum of a
+    nonnegative terms, in any order, errs by at most (a - 1)u times their
+    sum; with T a plane's cap on both diffs (1 under the ramp and on a
+    nominal plane, and when linear the spread of the scaled values plus
+    4u·M), |approx - exact| <= sum(e) + 2a·u·(2·sum(T) + sum(e)).  The
+    slack is twice that, which covers the second-order terms and the
+    rounding of the slack's own sums, plus a·tiny for the absolute error of
+    an underflow.  It is +inf, so that every pair is refined, where a
+    scaled value could overflow (a·sum(M) >= 2**1000) or the reciprocal of
+    a width is subnormal and so less precise than u.
     """
-    n = len(fm)
-    if out.size == 1:
-        # a lone cell: numpy reduces a single column with its own pairwise
-        # loop, which is the order to reproduce
-        np.add.reduce(fm.reshape(n), out=out.reshape(()))
-        return
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - n // 2 % 8
-        pairwise_sum(fm[:half], fm[0], fours)
-        pairwise_sum(fm[half:], fm[half], fours)
-        np.add(fm[0], fm[half], out=out)
-        return
-    m8 = n - n % 8
-    if m8:
-        # eight partials r_j = f_j + f_{j+8} + ..., added block by block
-        # into the first eight planes, then their tree.  A reduction along
-        # the outer axis first copies a block into its output: it took 2.6
-        # to 3.3 times as long as the adds at 16 features, and 0.8 to 1.15
-        # times at 64 to 128.  The adds overlap their output exactly, which
-        # numpy allows; a tree step writes planes it does not read, since
-        # numpy copies an operand that may overlap the output otherwise, and
-        # from 16 features the second block's planes are free for it.  The
-        # tree's two halves land just before the tail features, so one
-        # sequential reduction adds them and then the tail, in numpy's order.
-        for b in range(8, m8, 8):
-            np.add(fm[:8], fm[b : b + 8], out=fm[:8])
-        if m8 > 8:
-            fours = fm[8:12]
-        np.add(fm[0:8:2], fm[1:8:2], out=fours)
-        np.add(fours[0::2], fours[1::2], out=fm[m8 - 2 : m8])
-        fm = fm[m8 - 2 :]
-    np.add.reduce(fm, axis=0, out=out)
+
+    def __init__(self, sample_values, numeric_mask, ranges: FeatureRange, cfg: DiffConfig):
+        self.ramp = cfg.numeric_mode is DiffMode.RAMP
+        inverse = 1.0 / ranges.safe_width  # 0 for nominal and zero-width features
+        numeric = np.flatnonzero(numeric_mask & (inverse > 0))
+        self.planes = np.concatenate([numeric, np.flatnonzero(~numeric_mask)])
+        self.num_numeric = len(numeric)
+        self.num_features = len(numeric_mask)
+        self.exact_only = bool((inverse[numeric] < _TINY).any())
+        scale, self.shift = inverse[numeric], 0.0
+        if self.ramp:
+            band = cfg.t_diff - cfg.t_eq
+            scale, self.shift = scale / band, cfg.t_eq / band
+        self.scale = scale[:, None]
+        # (planes, samples)
+        self.samples = np.ascontiguousarray(sample_values[:, self.planes].T)
+        scaled = self.samples[: self.num_numeric]
+        scaled *= self.scale
+        self.lo, self.hi = scaled.min(axis=1), scaled.max(axis=1)
+
+    def copy_rows(self, values: np.ndarray, out: np.ndarray) -> float:
+        """Copy the (rows, features) `values` into `out` as scaled (planes,
+        rows); return the slack of their pairs with the samples."""
+        scaled = out[: self.num_numeric]
+        if self.num_numeric == self.num_features:
+            # every feature is a plane, in order: copy and scale in one pass
+            np.multiply(values.T, self.scale, out=scaled)
+        else:
+            np.take(values.T, self.planes, axis=0, out=out, mode="clip")
+            scaled *= self.scale
+        if self.exact_only:
+            return np.inf
+        lo = np.minimum(scaled.min(axis=1), self.lo)
+        hi = np.maximum(scaled.max(axis=1), self.hi)
+        mag = np.maximum(np.abs(lo), np.abs(hi))
+        a = self.num_features
+        if not a * mag.sum() < 2.0**1000:  # NaN too
+            return np.inf
+        err = 24 * _U * mag + 8 * _U * self.shift
+        if self.ramp:
+            err, caps = np.minimum(err, 1.0), float(len(mag))
+        else:
+            caps = float((hi - lo + 4 * _U * mag).sum())
+        caps += len(self.planes) - self.num_numeric
+        errs = float(err.sum())
+        return 2 * (errs + 2 * a * _U * (2 * caps + errs)) + a * _TINY
+
+    def chunk(self, rows: np.ndarray, q0: int, q1: int, out: np.ndarray) -> None:
+        """Write the approximate diffs of the copied (planes, run) `rows`
+        against samples q0 to q1 into `out`, (planes, samples, run)."""
+        n = self.num_numeric
+        diffs = out[:n]
+        np.subtract(rows[:n, None, :], self.samples[:n, q0:q1, None], out=diffs)
+        np.abs(diffs, out=diffs)
+        if self.ramp:
+            diffs -= self.shift
+            np.clip(diffs, 0.0, 1.0, out=diffs)
+        if n < len(rows):
+            np.not_equal(rows[n:, None, :], self.samples[n:, q0:q1, None], out=out[n:])
 
 
 class NeighborMatrix:
@@ -205,86 +280,100 @@ class NeighborMatrix:
     ) -> None:
         """Offer every row of `block` to every cell, keeping at most k per cell.
 
-        Distances fill a (samples, rows) tile for a group of samples and a
-        run of the block's rows (`tiling` gives the shapes).  The run is
-        copied feature-major once and serves every sample group.  A kernel
-        chunk is all of the run against a few samples, and is one
-        `feature_diffs` call: the (1, rows, a) source view of the copy
-        against the (g, 1, a) samples, written through a transposed view
-        into a contiguous (a, g, rows) buffer.  `pairwise_sum` then adds
-        the a feature planes into the tile in numpy's own summation order,
-        so each distance has the bits that `.sum(axis=-1)` gives over the
-        sample's row of diffs.  One call per chunk, not one per feature,
-        keeps the GIL round trips per element few.  A sample's own row gets
-        distance +inf, which excludes it by id.  The tile then goes to
-        `_offer_tile`, which selects for all classes at once.
+        Filter, then refine.  A (samples, rows) tile for a group of samples
+        and a run of the block's rows (`tiling` gives the shapes) is filled
+        with approximate distances, which only decide the pairs that cannot
+        enter any cell; `_offer_tile` computes the exact distances of the
+        rest and selects on those.  The run is copied once, scaled and
+        feature-major, by `_Filter.copy_rows`, which also gives the tile's
+        `slack`; it serves every sample group.  A kernel chunk is all of the
+        run against a few samples: `_Filter.chunk` writes its approximate
+        diffs into a contiguous (planes, g, rows) buffer, and one
+        `np.add.reduce` adds the planes into the tile.  A sample's own row,
+        found by id, is excluded.
         """
         p, m, a = len(block), self.num_samples, block.values.shape[1]
         if p == 0 or m == 0:
             return
         ids, values = block.ids, block.values
+        sample_values = np.asarray(sample_values, dtype=np.float64)
         # row of each sample's own instance in the block; -1 if absent
         by_id = np.argsort(ids)
         found = by_id[np.searchsorted(ids, self.sample_ids, sorter=by_id).clip(max=p - 1)]
         self_row = np.where(ids[found] == self.sample_ids, found, -1)
 
+        def exact(rows, samples):
+            return _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg)
+
         rows, g, width = tiling(p, m, a)
-        tile, source = np.empty(g * rows), np.empty(a * rows)
-        kernel, fours = np.empty(a * width * rows), np.empty(4 * width * rows)
         bufsize = np.setbufsize(KERNEL_BUFSIZE)
         try:
-            for r0 in range(0, p, rows):
-                r1 = min(r0 + rows, p)
-                run = r1 - r0
-                fm_rows = source[: a * run].reshape(a, run)
-                np.copyto(fm_rows, values[r0:r1].T)
-                src = fm_rows.T[None]
-                for s0 in range(0, m, g):
-                    s1 = min(s0 + g, m)
-                    dist = tile[: (s1 - s0) * run].reshape(s1 - s0, run)
-                    for q0 in range(s0, s1, width):
-                        q1 = min(q0 + width, s1)
-                        cells = (q1 - q0) * run
-                        fm = kernel[: a * cells].reshape(a, q1 - q0, run)
-                        group = sample_values[q0:q1, None, :]
-                        feature_diffs(src, group, numeric_mask, ranges, cfg, fm.transpose(1, 2, 0))
-                        pairwise_sum(fm, dist[q0 - s0 : q1 - s0], fours[: 4 * cells].reshape(4, q1 - q0, run))
-                    own = self_row[s0:s1]
-                    inside = np.flatnonzero((own >= r0) & (own < r1))
-                    dist[inside, own[inside] - r0] = np.inf
-                    self._offer_tile(dist, s0, r0, block)
+            # scaled values may overflow; the slack is then +inf (`_Filter`)
+            with np.errstate(over="ignore", invalid="ignore"):
+                filt = _Filter(sample_values, numeric_mask, ranges, cfg)
+                planes = len(filt.planes)
+                tile, source = np.empty(g * rows), np.empty(planes * rows)
+                kernel = np.empty(planes * width * rows)
+                for r0 in range(0, p, rows):
+                    r1 = min(r0 + rows, p)
+                    run = r1 - r0
+                    fm_rows = source[: planes * run].reshape(planes, run)
+                    slack = filt.copy_rows(values[r0:r1], fm_rows)
+                    for s0 in range(0, m, g):
+                        s1 = min(s0 + g, m)
+                        dist = tile[: (s1 - s0) * run].reshape(s1 - s0, run)
+                        for q0 in range(s0, s1, width):
+                            q1 = min(q0 + width, s1)
+                            cells = (q1 - q0) * run
+                            fm = kernel[: planes * cells].reshape(planes, q1 - q0, run)
+                            filt.chunk(fm_rows, q0, q1, fm)
+                            np.add.reduce(fm, axis=0, out=dist[q0 - s0 : q1 - s0])
+                        own = self_row[s0:s1]
+                        inside = np.flatnonzero((own >= r0) & (own < r1))
+                        self._offer_tile(dist, slack, (inside, own[inside] - r0), s0, r0, block, exact)
         finally:
             np.setbufsize(bufsize)
 
-    def _offer_tile(self, dist, s0, r0, block) -> None:
+    def _offer_tile(self, approx, slack, own, s0, r0, block, exact) -> None:
         """Add each cell's nearest rows among one tile's to the cell: column
-        j of `dist` holds the distances of the block's row `r0 + j` to the
-        samples from `s0` on.
+        j of `approx` holds the approximate distances of the block's row
+        `r0 + j` to the samples from `s0` on, each within `slack` of the
+        exact one; `own` indexes the samples' own rows in the tile; and
+        `exact(rows, samples)` gives the exact distances of paired block
+        rows and samples.
 
         A row can enter only its own class's cell, and only at or below the
-        cell's last slot's distance, and at that distance only with a smaller
-        id; one comparison of the tile with each column's class bounds drops
-        the rest.  While a class has a cell that is not full, its rows past
-        each sample's k-th distance are cut first; ties at the k-th distance
-        survive.  The candidates and the current entries of their cells are
-        sorted together by (cell, distance, id), the cell being class * m +
-        sample, and the first k of each cell are written back.
+        cell's last slot's distance.  The filter drops a pair only when it
+        provably cannot enter: when its approximation exceeds the bound of
+        its class's cell plus `slack`, or, while a class has a cell that is
+        not full, exceeds the sample's k-th smallest approximation over the
+        class's rows in the tile plus twice `slack` (k of them are exactly
+        within that k-th approximation plus `slack`).  Both tests are written
+        `~(approx > limit)`, so a NaN or inf approximation goes on.  The
+        survivors' exact distances then meet the exact rules: at or below
+        the bound, and at it only with a smaller id.  The candidates and the
+        current entries of their cells are sorted together by (cell,
+        distance, id), the cell being class * m + sample, and the first k of
+        each cell are written back.
         """
         k, m = self.k, self.num_samples
-        g, run = dist.shape
+        g, run = approx.shape
         labels = block.labels[r0 : r0 + run]
-        # (samples, classes) last slots; a cell that is not full has a finite
-        # bound, which drops the +inf own rows
+        # own rows sort last, so that they never set a k-th distance
+        approx[own] = np.inf
+        # (samples, classes) last slots
         bound = np.ascontiguousarray(self.dist[:, s0 : s0 + g, k - 1].T)
-        keep = dist <= np.take(bound, labels, axis=1)
+        keep = ~(approx > np.take(bound + slack, labels, axis=1))
         if (bound == _MAX_DIST).any():
             # a cell that is not full yet takes any row of its class: cut at
             # the k-th first
             for label in np.flatnonzero((bound == _MAX_DIST).any(axis=0)):
                 cols = np.flatnonzero(labels == label)
                 if len(cols) > k:
-                    near = dist[:, cols]
-                    keep[:, cols] &= near <= np.partition(near, k - 1, axis=1)[:, k - 1 : k]
+                    near = approx[:, cols]
+                    kth = np.partition(near, k - 1, axis=1)[:, k - 1 : k]
+                    keep[:, cols] &= ~(near > kth + 2 * slack)
+        keep[own] = False
         # one flat scan; `np.nonzero` on a 2-d mask costs over ten times more
         hits = np.flatnonzero(keep)
         if not hits.size:
@@ -292,11 +381,11 @@ class NeighborMatrix:
         s_idx, at = np.divmod(hits, run)
         label = labels[at]
         cell = label * m + s0 + s_idx
-        d, cand = dist.reshape(-1)[hits], block.ids[r0 + at]
+        d, cand = exact(r0 + at, s0 + s_idx), block.ids[r0 + at]
         last = cell * k + k - 1
         to_d, to_i, to_v = self._slots()
-        # a row at a full cell's bound enters only on a smaller id
-        live = (d < to_d[last]) | (cand < to_i[last])
+        # below the bound, or at it with a smaller id
+        live = (d < to_d[last]) | ((d == to_d[last]) & (cand < to_i[last]))
         if not live.all():
             cell, d, cand, at = cell[live], d[live], cand[live], at[live]
             if not cell.size:

@@ -35,8 +35,10 @@ __all__ = [
     "check_block",
 ]
 
-# rows that `_fold_rows` folds into one wide row
-_FOLD_ROWS = 16
+# rows that `_fold_rows` folds into one wide row.  Wider rows make longer
+# inner loops: min plus max over a 250k x 20 block took 3.4-4.2 ms at 64
+# against 4.1-7.4 ms at 16 (numpy 2.4, 2 vCPUs), with equal results.
+_FOLD_ROWS = 64
 
 
 def check_block(ids: np.ndarray, labels: np.ndarray, values: np.ndarray, schema: Schema) -> InstanceBlock:

@@ -11,10 +11,12 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
+from direlieff import engine
 from direlieff.cluster import serve_worker
 from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema, feature_diffs
 
@@ -133,6 +135,13 @@ def reap(procs, timeout: float = 15.0) -> list[int]:
             proc.kill()
             codes.append(proc.wait())
     return codes
+
+
+def uncapped_threads():
+    """While active, `fold_runs` starts as many threads as it is asked for,
+    however few cores the host has, so that a test of the thread count runs
+    every count it draws."""
+    return mock.patch.object(engine, "available_cores", return_value=1 << 10)
 
 
 @contextmanager

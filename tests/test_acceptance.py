@@ -24,7 +24,7 @@ from direlieff.reference import relieff_sequential
 from direlieff.stages import PRIORS, RANGES
 from direlieff.synth import SynthSpec, make_dataset
 
-from _support import random_mixed_block, reap, spawn_worker
+from _support import random_mixed_block, reap, spawn_worker, uncapped_threads
 
 RESULTS: list[str] = []
 
@@ -65,7 +65,8 @@ def corpus():
         cfg = RankConfig(m=m, k=k, seed=int(rng.integers(0, 10_000)), diff=diff)
         engine = LocalEngine(EngineConfig(workers=int(rng.integers(1, 5))))
 
-        result = rank(ds, cfg, engine)
+        with uncapped_threads():
+            result = rank(ds, cfg, engine)
         oracle = relieff_sequential(list(block), result.samples, k, diff, schema)
         gap = float(np.max(np.abs(result.weights.values - oracle.values)))
         runs.append({"case": case, "gap": gap, "weights": result.weights.values})

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import random_mixed_block, worker_thread
+from _support import random_mixed_block, uncapped_threads, worker_thread
+from direlieff import engine as engine_mod
 from direlieff.cluster import ClusterEngine
 from direlieff.engine import (
     EngineConfig,
@@ -88,6 +89,16 @@ class TestAggregate:
         want = np.bincount(whole(ds).labels, minlength=3)
         assert got.tolist() == want.tolist()  # no zero shared between runs
 
+    @pytest.mark.parametrize("cores, workers, threads", [(2, 5, 2), (4, 3, 3), (1, 4, 1)])
+    def test_no_more_threads_than_cores(self, monkeypatch, cores, workers, threads):
+        pools, pool = [], engine_mod.ThreadPoolExecutor
+        monkeypatch.setattr(engine_mod, "available_cores", lambda: cores)
+        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers) or pool(max_workers))
+        ds = make_ds(60, 8)
+        got = LocalEngine(EngineConfig(workers=workers)).run_stage(ds, PRIORS, None)
+        assert got.tolist() == np.bincount(whole(ds).labels, minlength=3).tolist()
+        assert pools == ([threads] if threads > 1 else [])  # one thread folds on the caller
+
     def test_result_size_cap(self):
         ds = make_ds(100, 2)
         eng = LocalEngine(EngineConfig(max_result_bytes=16))
@@ -100,10 +111,11 @@ class TestAggregate:
         ds = make_ds(n, parts, seed)
         eng = LocalEngine(EngineConfig(workers=workers))
         values, labels = whole(ds).values, whole(ds).labels
-        mins, maxs = eng.run_stage(ds, RANGES, None)
+        with uncapped_threads():
+            mins, maxs = eng.run_stage(ds, RANGES, None)
+            assert np.array_equal(eng.run_stage(ds, PRIORS, None), np.bincount(labels, minlength=3))
         assert np.array_equal(mins, values.min(axis=0))
         assert np.array_equal(maxs, values.max(axis=0))
-        assert np.array_equal(eng.run_stage(ds, PRIORS, None), np.bincount(labels, minlength=3))
         assert sum(eng.partition_lens(ds)) == n
 
 
@@ -167,13 +179,15 @@ class TestThreadRuns:
         ds, stages = case
         eng = LocalEngine(EngineConfig(workers=threads))
         for stage, params in stages:
-            assert_bit_equal(stage, eng.run_stage(ds, stage, params), per_partition_fold(ds, stage, params))
+            with uncapped_threads():
+                got = eng.run_stage(ds, stage, params)
+            assert_bit_equal(stage, got, per_partition_fold(ds, stage, params))
 
     @given(case=stage_cases(), threads=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
     def test_cluster_worker(self, case, threads):
         ds, stages = case
-        with worker_thread(threads) as addr, ClusterEngine([addr], timeout=30.0) as eng:
+        with uncapped_threads(), worker_thread(threads) as addr, ClusterEngine([addr], timeout=30.0) as eng:
             for stage, params in stages:
                 assert_bit_equal(stage, eng.run_stage(ds, stage, params), per_partition_fold(ds, stage, params))
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _support import brute_force_entries, grid_entries, wire_damage
 from direlieff import neighbors
-from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock
+from direlieff.model import DiffConfig, DiffMode, FeatureRange, InstanceBlock, feature_diffs
 from direlieff.neighbors import NeighborMatrix
 
 # one numeric feature on [0, 1]: a row's distance to a sample at 0.0 is its value
@@ -139,12 +139,49 @@ class TestNeighborMatrix:
             NeighborMatrix.decode(buf, sample_block.ids[:-1], 2, 2, 2)
 
 
+# The filter's hard cases, one per `neighbor_inputs` style: "offset" moves
+# numeric columns near +-1e9 with widths near 1e-3, so that equal distances
+# are common while their scaled values round apart; "zero_width" makes
+# numeric columns constant, one of them at 1e300; "nominal" codes categories
+# as +-1e300 and their neighbouring floats; "narrow" is a ramp whose band
+# t_diff - t_eq is 1e-9; and "overflow" is a ramp band of 1e-300 on offset
+# columns, whose scaled values overflow to inf, and their differences to NaN.
+STYLES = ("plain", "offset", "zero_width", "nominal", "narrow", "overflow")
+NARROW_RAMP = DiffConfig(DiffMode.RAMP, t_eq=0.3, t_diff=0.3 + 1e-9)
+OVERFLOW_RAMP = DiffConfig(DiffMode.RAMP, t_eq=0.0, t_diff=1e-300)
+NOMINAL_CODES = np.array([1e300, -1e300, np.nextafter(1e300, np.inf), np.nextafter(-1e300, 0.0)])
+
+
+def styled(style, values, mask, rng):
+    """`values` of small levels, moved to one of the filter's hard cases
+    (`STYLES`) column by column, and the ramp that the style needs, if any."""
+    values = values.copy()
+    num, nom = np.flatnonzero(mask), np.flatnonzero(~mask)
+    cfg = {"narrow": NARROW_RAMP, "overflow": OVERFLOW_RAMP}.get(style)
+    if style in ("offset", "overflow"):
+        # whole steps of the ulp at 1e9, 2**-23, make every value and
+        # difference exact; levels in non-dyadic ratios, such as (0, 5, 12),
+        # make the scaled values round, and columns of one level set make
+        # equal distances from differences in different columns
+        step = rng.integers(200, 2_000, size=len(num)) * 2.0**-23
+        base = rng.choice([-1e9, 1e9], size=len(num))
+        level = values[:, num]
+        values[:, num] = base + np.rint(5 * level + level * level) * step
+    elif style == "zero_width" and len(num):
+        flat = rng.choice(num, size=int(rng.integers(1, len(num) + 1)), replace=False)
+        values[:, flat] = rng.normal(size=len(flat))
+        values[:, flat[0]] = 1e300
+    elif style == "nominal":
+        values[:, nom] = NOMINAL_CODES[(values[:, nom] + rng.integers(0, 2, size=len(nom))).astype(int) % 4]
+    return values, cfg
+
+
 @st.composite
 def neighbor_inputs(draw):
     """Small blocks built to stress the selection: few distinct values and
     duplicated rows (many ties at the k-th distance), nominal columns,
-    classes with fewer than k members or none, and samples both inside and
-    outside the block."""
+    classes with fewer than k members or none, samples both inside and
+    outside the block, and the filter's hard cases (`STYLES`)."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 60))
@@ -161,7 +198,6 @@ def neighbor_inputs(draw):
     present = rng.choice(num_classes, size=int(rng.integers(1, num_classes + 1)), replace=False)
     labels = rng.choice(present, size=n).astype(np.int32)
     ids = rng.permutation(3 * n)[:n] + 100
-    block = InstanceBlock(ids, labels, values)
 
     m = draw(st.integers(1, 12))
     inside = rng.choice(n, size=min(m, n), replace=False)[: int(rng.integers(0, min(m, n) + 1))]
@@ -170,12 +206,14 @@ def neighbor_inputs(draw):
     sample_ids = np.concatenate([ids[inside], extra])
     extra_values = rng.integers(0, levels, size=(len(extra), a)).astype(np.float64)
     extra_values[:, mask] *= rng.uniform(0.5, 2.0)
-    sample_values = np.concatenate([values[inside], extra_values])
-    all_values = np.concatenate([values, sample_values])
-    ranges = FeatureRange(all_values.min(axis=0), all_values.max(axis=0), mask)
     ramp = draw(st.booleans())
     cfg = DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6) if ramp else DiffConfig()
-    return block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k
+    all_values, style_cfg = styled(draw(st.sampled_from(STYLES)), np.concatenate([values, extra_values]), mask, rng)
+    values = all_values[:n]
+    block = InstanceBlock(ids, labels, values)
+    sample_values = np.concatenate([values[inside], all_values[n:]])
+    ranges = FeatureRange(all_values.min(axis=0), all_values.max(axis=0), mask)
+    return block, sample_ids, sample_values, mask, ranges, style_cfg or cfg, num_classes, k
 
 
 class TestOfferBlockSelection:
@@ -195,7 +233,7 @@ class TestOfferBlockSelection:
             (neighbors.TILE_ELEMS * 5 // 4, 2, 5),
             # many samples: short tiles, several sample groups, the last partial
             (4096, 37, 3),
-            # a block just over LARGE_BLOCK_ELEMS: tiles and chunks LARGE_SCALE times larger
+            # a block just over LARGE_BLOCK_ELEMS: the larger tiles and chunks
             (neighbors.LARGE_BLOCK_ELEMS // 21 + 1, 3, 21),
         ],
     )
@@ -224,7 +262,7 @@ class TestOfferBlockSelection:
 
     @pytest.mark.parametrize("a", [130, 257])
     def test_wide_rows_match_full_sort(self, a):
-        # above 128 features numpy's pairwise sum splits and recurses
+        # above 128 features numpy's row sum, which gives the exact distances, splits and recurses
         rng = np.random.default_rng(a)
         n, m = 300, 7
         values = rng.uniform(0, 1, size=(n, a)) * 10.0 ** rng.integers(-6, 6, size=a)
@@ -234,7 +272,7 @@ class TestOfferBlockSelection:
         block = InstanceBlock(np.arange(n, dtype=np.int64), rng.integers(0, 3, size=n), values)
         pick = rng.choice(n, size=m, replace=False)
         ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
-        for cfg in (DiffConfig(), DiffConfig(DiffMode.RAMP, t_eq=0.1, t_diff=0.4)):
+        for cfg in (DiffConfig(), DiffConfig(DiffMode.RAMP, t_eq=0.1, t_diff=0.4), NARROW_RAMP, OVERFLOW_RAMP):
             nn = NeighborMatrix(3, block.ids[pick], 4, a)
             nn.offer_block(block, values[pick], mask, ranges, cfg)
             want = brute_force_entries(block, block.ids[pick], values[pick], mask, ranges, cfg, 3, 4)
@@ -254,20 +292,51 @@ class TestOfferBlockSelection:
         assert grid_entries(nn) == want
 
 
+def approximate(block, sample_values, mask, ranges, cfg):
+    """The filter's (samples, rows) approximate distances and its slack."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        filt = neighbors._Filter(sample_values, mask, ranges, cfg)
+        planes = len(filt.planes)
+        rows, diffs = np.empty((planes, len(block))), np.empty((planes, len(sample_values), len(block)))
+        slack = filt.copy_rows(block.values, rows)
+        filt.chunk(rows, 0, len(sample_values), diffs)
+    return diffs.sum(axis=0), slack
+
+
+# the filter's hard cases (`STYLES`), linear and ramp where the style allows
+FILTER_CASES = [
+    ("plain", DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6)),
+    ("offset", DiffConfig()),
+    ("offset", DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6)),
+    ("zero_width", DiffConfig()),
+    ("zero_width", DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6)),
+    ("nominal", DiffConfig()),
+    ("nominal", DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6)),
+    ("narrow", None),
+    ("overflow", None),
+]
+FILTER_IDS = [f"{style}-{cfg.numeric_mode.value if cfg else 'band'}" for style, cfg in FILTER_CASES]
+
+
 class TestAllClassSelection:
-    """Each (tile, sample group) is selected for all classes at once."""
+    """Each (tile, sample group) is selected for all classes at once, and
+    the filter drops only the pairs that cannot enter."""
 
     K = 4
 
-    def case(self, c):
+    def case(self, c, style="plain"):
         """Two blocks of two row tiles each against three sample groups:
         three levels per feature and duplicated rows (ties at the k-th
         distance), samples inside the first block and one outside, and for
-        c > 1 a class with fewer than k rows in the first tile."""
+        c > 1 a class with fewer than k rows in the first tile.  `style`
+        moves the values to one of the filter's hard cases (`styled`); the
+        last item is the ramp that the style needs, or None."""
         rng = np.random.default_rng(c)
         n, m, a = 8000, 40, 3
         values = rng.integers(0, 3, size=(n, a)).astype(np.float64)
         values[rng.integers(0, n, size=300)] = values[7]
+        mask = np.array([True, True, False])
+        values, cfg = styled(style, values, mask, rng)
         labels = rng.integers(0, c, size=n)
         if c > 1:
             labels[labels == c - 1] = 0
@@ -277,14 +346,17 @@ class TestAllClassSelection:
         pick = rng.choice(n // 2, size=m, replace=False)
         sample_ids = block.ids[pick]
         sample_ids[-1] = 3 * n + 1  # its row's twin, outside the block
-        mask = np.array([True, True, False])
         ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
-        return block, sample_ids, values[pick], mask, ranges
+        return block, sample_ids, values[pick], mask, ranges, cfg
 
-    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
-    def test_matches_full_sort_fresh_and_carried(self, c):
-        block, sample_ids, sample_values, mask, ranges = self.case(c)
-        k, cfg = self.K, DiffConfig()
+    @pytest.mark.parametrize(
+        "c, style, cfg",
+        [pytest.param(c, "plain", DiffConfig(), id=str(c)) for c in range(1, 6)]
+        + [pytest.param(3, style, cfg, id=f"3-{name}") for (style, cfg), name in zip(FILTER_CASES, FILTER_IDS)],
+    )
+    def test_matches_full_sort_fresh_and_carried(self, c, style, cfg):
+        block, sample_ids, sample_values, mask, ranges, style_cfg = self.case(c, style)
+        k, cfg = self.K, style_cfg or cfg
         first, second = block.slice(0, 4000), block.slice(4000, 8000)
         rows, g, _ = neighbors.tiling(len(first), len(sample_ids), 3)
         assert rows <= 2500 < len(first) and g < len(sample_ids)  # several tiles and groups
@@ -300,9 +372,27 @@ class TestAllClassSelection:
         assert any(cell[k - 1][0] == cell[k][0] for row in want for cell in row)  # a tie at the k-th
         assert grid_entries(nn) == [[cell[:k] for cell in row] for row in want]
 
+    @pytest.mark.parametrize("style, cfg", [("plain", DiffConfig()), *FILTER_CASES], ids=["plain-linear", *FILTER_IDS])
+    def test_slack_bounds_every_error(self, style, cfg):
+        block, _, sample_values, mask, ranges, style_cfg = self.case(3, style)
+        cfg = style_cfg or cfg
+        approx, slack = approximate(block, sample_values, mask, ranges, cfg)
+        exact = np.sum(feature_diffs(block.values[None], sample_values[:, None], mask, ranges, cfg), axis=-1)
+        finite = np.isfinite(approx)
+        assert (np.abs(approx - exact)[finite] <= slack).all()
+        if style == "overflow":
+            assert np.isnan(approx).any() and slack == np.inf
+        else:
+            assert finite.all() and 0 < slack < 0.5
+        if style == "offset" and cfg.numeric_mode is DiffMode.LINEAR:
+            # equal exact distances to one sample whose approximations differ
+            order = np.lexsort((approx, exact))
+            e, x = np.take_along_axis(exact, order, 1), np.take_along_axis(approx, order, 1)
+            assert ((e[:, 1:] == e[:, :-1]) & (x[:, 1:] != x[:, :-1])).any()
+
     def test_one_lexsort_per_tile_and_sample_group(self, monkeypatch):
         c = 4
-        block, sample_ids, sample_values, mask, ranges = self.case(c)
+        block, sample_ids, sample_values, mask, ranges, _ = self.case(c)
         part = block.slice(0, 2000)
         rows, g, _ = neighbors.tiling(len(part), len(sample_ids), 3)
         assert rows == len(part) and set(part.labels.tolist()) == set(range(c))
@@ -313,36 +403,6 @@ class TestAllClassSelection:
         nn.offer_block(part, sample_values, mask, ranges, DiffConfig())
         # one row tile: one sort per sample group, not one per class as well
         assert len(sorts) == -(-len(sample_ids) // g) == 3
-
-
-class TestPairwiseOrder:
-    """`pairwise_sum` must add in the order numpy's own row sum uses; a numpy
-    release that changes that order must fail here, not change weights."""
-
-    FEATURE_COUNTS = [*range(1, 140), 200, 257, 1000]
-
-    @pytest.mark.parametrize("bufsize", [np.getbufsize(), neighbors.KERNEL_BUFSIZE])
-    def test_matches_row_sum_bit_for_bit(self, bufsize):
-        rng = np.random.default_rng(2024)
-        failed = []
-        for a in self.FEATURE_COUNTS:
-            # (samples, rows) planes of 3 x 5 cells, and lone cells
-            for shape in ((3, 5), (1, 1)):
-                rows = rng.uniform(1, 10, size=(*shape, a)) * 10.0 ** rng.integers(-6, 6, size=(*shape, a))
-                want = rows.sum(axis=-1)
-                fm = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
-                got = np.empty(shape)
-                before = np.setbufsize(bufsize)
-                try:
-                    neighbors.pairwise_sum(fm, got, np.empty((4, *shape)))
-                finally:
-                    np.setbufsize(before)
-                if not np.array_equal(got.view(np.int64), want.view(np.int64)):
-                    failed.append((a, shape))
-        assert not failed, (
-            f"pairwise_sum no longer matches .sum(axis=-1) on numpy {np.__version__} "
-            f"for (features, cells) {failed[:5]}: its summation order must follow this numpy"
-        )
 
 
 class TestMatrixFillAndMerge:

@@ -38,7 +38,7 @@ from direlieff.pipeline import (
 from direlieff.reference import relieff_sequential
 from direlieff.synth import SynthSpec, make_dataset
 
-from _support import grid_entries, random_mixed_block
+from _support import grid_entries, random_mixed_block, uncapped_threads
 
 
 def numeric_schema(a: int, c: int = 2) -> Schema:
@@ -139,7 +139,8 @@ class TestSelectSamples:
         vals = [[float(i)] for i in range(30)]
         ds = tiny_dataset(vals, [i % 2 for i in range(30)], numeric_schema(1), partitions=5)
         one = select_samples(ds, LocalEngine(EngineConfig(workers=1)), m=9, seed=11)
-        four = select_samples(ds, LocalEngine(EngineConfig(workers=4)), m=9, seed=11)
+        with uncapped_threads():
+            four = select_samples(ds, LocalEngine(EngineConfig(workers=4)), m=9, seed=11)
         assert [s.id for s in one] == [s.id for s in four]
 
 
