@@ -130,9 +130,15 @@ def _pack_named(name: str, body: bytes) -> bytes:
 
 
 def _unpack_named(payload: bytes):
+    """(name, body) of a `_pack_named` payload; ValueError on a payload too
+    short for the name length, a length outside the payload, or a name that
+    is not UTF-8 (`UnicodeDecodeError` is a ValueError)."""
+    if len(payload) < 4:
+        raise ValueError(f"named payload of {len(payload)} bytes has no name length")
     (nlen,) = struct.unpack_from("!i", payload, 0)
-    name = payload[4 : 4 + nlen].decode("utf-8")
-    return name, payload[4 + nlen :]
+    if not 0 <= nlen <= len(payload) - 4:
+        raise ValueError(f"name length {nlen} outside the {len(payload) - 4} bytes after it")
+    return payload[4 : 4 + nlen].decode("utf-8"), payload[4 + nlen :]
 
 
 # -- worker -------------------------------------------------------------------
@@ -312,6 +318,9 @@ class ClusterEngine:
         except (ConnectionError, OSError) as exc:
             self.close()
             raise ClusterError(f"worker {name}: connection lost: {exc}") from exc
+        except ClusterError as exc:
+            self.close()
+            raise ClusterError(f"worker {name}: {exc}") from exc
 
     def _expect_result(self, conn: socket.socket, name: str, stage_name: str) -> bytes:
         tag, payload = self._read(conn, name)
@@ -321,7 +330,11 @@ class ClusterEngine:
         if tag != MSG_STAGE_RESULT:
             self.close()
             raise ClusterError(f"worker {name}: expected STAGE_RESULT, got tag {tag}")
-        echoed, body = _unpack_named(payload)
+        try:
+            echoed, body = _unpack_named(payload)
+        except ValueError as exc:
+            self.close()
+            raise ClusterError(f"worker {name}: malformed STAGE_RESULT: {exc}") from exc
         if echoed != stage_name:
             self.close()
             raise ClusterError(f"worker {name}: result for {echoed!r}, expected {stage_name!r}")

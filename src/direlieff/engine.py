@@ -135,7 +135,10 @@ def fold_runs(stage, schema, params, parts, threads: int):
 
 
 class PartitionedDataset:
-    """Read-only dataset: a schema and ordered `InstanceBlock` partitions."""
+    """Read-only dataset: a schema and ordered `InstanceBlock` partitions.
+    EngineError names a partition that is not a block, has another width
+    than the schema (or the first partition), or has a class label that the
+    schema lacks."""
 
     def __init__(self, blocks, schema=None):
         blocks = list(blocks)
@@ -150,6 +153,10 @@ class PartitionedDataset:
                 raise EngineError(
                     f"partition {i} has {block.values.shape[1]} features, expected {width}"
                 )
+            if schema is not None:
+                bad = block.labels[(block.labels < 0) | (block.labels >= schema.num_classes)]
+                if len(bad):
+                    raise EngineError(f"partition {i} has class label {bad[0]}, outside [0, {schema.num_classes})")
         self._blocks = blocks
         self.schema = schema
 

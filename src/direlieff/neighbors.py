@@ -35,17 +35,22 @@ are compared, sorted and stored.  On mixed ramp data with full cells about
 A row can enter only its own class's cell, and only at or below the
 cell's current worst entry.  So one selection serves all classes of a tile:
 each tile column is compared with `bound[class of its row, sample]` plus
-the slack, which drops most rows, and one `flatnonzero` and one `lexsort`
-over the refined survivors, keyed by (cell, distance, id) with the cell
-numbered class * m + sample, merge them with their cells' current entries;
-the first k of each cell are written back through flat slot indices.  The
-selection's numpy calls are per (tile, sample group), not per class.  While
-a class still has a cell that is not full, the rows past each sample's k-th
-approximate distance plus twice the slack are cut first.  An engine folds
-a thread's whole run of partitions into one matrix, so after its first tile
-the cells are full and the cut is almost never needed.  `tiling` bounds the
-tile, the feature-major copy and the chunk, so the scratch does not grow
-with the sample count times the partition size.
+the slack, which drops most rows, and one `flatnonzero` gives the pairs
+that pass; a sample's own row is dropped among them, by id.  While a class
+still has a cell that is not full, the rows past each sample's (k+1)-th
+approximate distance plus twice the slack are cut first: the (k+1)-th,
+since one of the k + 1 nearest may be the sample's own row.  An engine
+folds a thread's whole run of partitions into one matrix, so after its
+first tile the cells are full and the cut is almost never needed.
+`tiling` bounds the tile, the feature-major copy and the chunk, so the
+scratch does not grow with the sample count times the partition size.
+
+Cells are written in one place, `NeighborMatrix._insert`: one `lexsort`
+keyed by (cell, distance, id), the cell numbered class * m + sample, sorts
+the candidates with their cells' held entries, and the first k of each
+cell are written back through flat slot indices.  A tile's refined pairs
+are candidates, one sort per (tile, sample group) for all classes, and so
+are the filled slots of a matrix being merged.
 """
 
 from __future__ import annotations
@@ -241,7 +246,8 @@ class NeighborMatrix:
     of the cell has class C, so no label is stored.  An unfilled slot holds
     distance `_MAX_DIST`, so a cell's last slot is the bound a new entry
     must come before.  Filling is associative and commutative: partitions
-    can be folded independently and merged.
+    can be folded independently and merged.  `offer_block` and `merge` both
+    write cells only through `_insert`.
     """
 
     def __init__(self, num_classes: int, sample_ids, k: int, num_features: int):
@@ -290,17 +296,13 @@ class NeighborMatrix:
         run against a few samples: `_Filter.chunk` writes its approximate
         diffs into a contiguous (planes, g, rows) buffer, and one
         `np.add.reduce` adds the planes into the tile.  A sample's own row,
-        found by id, is excluded.
+        found by id among the tile's candidates, is excluded.
         """
         p, m, a = len(block), self.num_samples, block.values.shape[1]
         if p == 0 or m == 0:
             return
-        ids, values = block.ids, block.values
+        values = block.values
         sample_values = np.asarray(sample_values, dtype=np.float64)
-        # row of each sample's own instance in the block; -1 if absent
-        by_id = np.argsort(ids)
-        found = by_id[np.searchsorted(ids, self.sample_ids, sorter=by_id).clip(max=p - 1)]
-        self_row = np.where(ids[found] == self.sample_ids, found, -1)
 
         def exact(rows, samples):
             return _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg)
@@ -328,17 +330,14 @@ class NeighborMatrix:
                             fm = kernel[: planes * cells].reshape(planes, q1 - q0, run)
                             filt.chunk(fm_rows, q0, q1, fm)
                             np.add.reduce(fm, axis=0, out=dist[q0 - s0 : q1 - s0])
-                        own = self_row[s0:s1]
-                        inside = np.flatnonzero((own >= r0) & (own < r1))
-                        self._offer_tile(dist, slack, (inside, own[inside] - r0), s0, r0, block, exact)
+                        self._offer_tile(dist, slack, s0, r0, block, exact)
         finally:
             np.setbufsize(bufsize)
 
-    def _offer_tile(self, approx, slack, own, s0, r0, block, exact) -> None:
-        """Add each cell's nearest rows among one tile's to the cell: column
-        j of `approx` holds the approximate distances of the block's row
-        `r0 + j` to the samples from `s0` on, each within `slack` of the
-        exact one; `own` indexes the samples' own rows in the tile; and
+    def _offer_tile(self, approx, slack, s0, r0, block, exact) -> None:
+        """Offer one tile's rows to their cells: column j of `approx` holds
+        the approximate distances of the block's row `r0 + j` to the samples
+        from `s0` on, each within `slack` of the exact one, and
         `exact(rows, samples)` gives the exact distances of paired block
         rows and samples.
 
@@ -346,60 +345,65 @@ class NeighborMatrix:
         cell's last slot's distance.  The filter drops a pair only when it
         provably cannot enter: when its approximation exceeds the bound of
         its class's cell plus `slack`, or, while a class has a cell that is
-        not full, exceeds the sample's k-th smallest approximation over the
-        class's rows in the tile plus twice `slack` (k of them are exactly
-        within that k-th approximation plus `slack`).  Both tests are written
+        not full, exceeds the sample's (k+1)-th smallest approximation over
+        the class's rows in the tile plus twice `slack` (one of the k + 1
+        nearest may be the sample's own row, so k others are exactly within
+        that approximation plus `slack`).  Both tests are written
         `~(approx > limit)`, so a NaN or inf approximation goes on.  The
-        survivors' exact distances then meet the exact rules: at or below
-        the bound, and at it only with a smaller id.  The candidates and the
-        current entries of their cells are sorted together by (cell,
-        distance, id), the cell being class * m + sample, and the first k of
-        each cell are written back.
+        survivors, less the samples' own rows found by id, go to `_insert`
+        with their exact distances.
         """
         k, m = self.k, self.num_samples
         g, run = approx.shape
         labels = block.labels[r0 : r0 + run]
-        # own rows sort last, so that they never set a k-th distance
-        approx[own] = np.inf
         # (samples, classes) last slots
         bound = np.ascontiguousarray(self.dist[:, s0 : s0 + g, k - 1].T)
         keep = ~(approx > np.take(bound + slack, labels, axis=1))
         if (bound == _MAX_DIST).any():
             # a cell that is not full yet takes any row of its class: cut at
-            # the k-th first
+            # the (k+1)-th first
             for label in np.flatnonzero((bound == _MAX_DIST).any(axis=0)):
                 cols = np.flatnonzero(labels == label)
-                if len(cols) > k:
+                if len(cols) > k + 1:
                     near = approx[:, cols]
-                    kth = np.partition(near, k - 1, axis=1)[:, k - 1 : k]
+                    kth = np.partition(near, k, axis=1)[:, k : k + 1]
                     keep[:, cols] &= ~(near > kth + 2 * slack)
-        keep[own] = False
         # one flat scan; `np.nonzero` on a 2-d mask costs over ten times more
-        hits = np.flatnonzero(keep)
-        if not hits.size:
+        s_idx, at = np.divmod(np.flatnonzero(keep), run)
+        other = block.ids[r0 + at] != self.sample_ids[s0 + s_idx]
+        s_idx, at = s_idx[other], at[other]
+        if not at.size:
             return
-        s_idx, at = np.divmod(hits, run)
-        label = labels[at]
-        cell = label * m + s0 + s_idx
-        d, cand = exact(r0 + at, s0 + s_idx), block.ids[r0 + at]
-        last = cell * k + k - 1
+        rows = r0 + at
+        cell = labels[at] * m + s0 + s_idx
+        self._insert(cell, exact(rows, s0 + s_idx), block.ids[rows], block.values, rows)
+
+    def _insert(self, cell, d, ids, source, rows) -> None:
+        """Enter candidates into their cells, keeping each cell's k best:
+        candidate i goes to flat cell `cell[i]` (class * m + sample) with
+        exact distance `d[i]`, id `ids[i]` and row `source[rows[i]]`; no id
+        is offered twice to a cell or is already held by it.  Candidates not
+        below their cell's last slot, nor at it with a smaller id, are
+        dropped.  The rest are sorted with their cells' held entries by
+        (cell, distance, id), and each cell's first k are written back: held
+        rows move slot to slot, and each new row is copied once.
+        """
+        k = self.k
         to_d, to_i, to_v = self._slots()
+        last = cell * k + k - 1
         # below the bound, or at it with a smaller id
-        live = (d < to_d[last]) | ((d == to_d[last]) & (cand < to_i[last]))
+        live = (d < to_d[last]) | ((d == to_d[last]) & (ids < to_i[last]))
         if not live.all():
-            cell, d, cand, at = cell[live], d[live], cand[live], at[live]
-            if not cell.size:
-                return
-            label, s_idx = label[live], s_idx[live]
-        # the cells offered to: their current entries, then the candidates
-        offered = np.bincount(label * g + s_idx)  # candidates per tile cell
-        in_tile = np.flatnonzero(offered)
-        touched = in_tile // g * m + s0 + in_tile % g
+            cell, d, ids, rows = cell[live], d[live], ids[live], rows[live]
+        if not cell.size:
+            return
+        # the cells offered to: their held entries, then the candidates
+        touched, offered = np.unique(cell, return_counts=True)
         n_held = self.count.reshape(-1)[touched]
         held = (touched[:, None] * k + np.arange(k))[np.arange(k) < n_held[:, None]]
         c_all = np.concatenate([np.repeat(touched, n_held), cell])
         d_all = np.concatenate([to_d[held], d])
-        i_all = np.concatenate([to_i[held], cand])
+        i_all = np.concatenate([to_i[held], ids])
         by_key = np.lexsort((i_all, d_all, c_all))
         c_sorted = c_all[by_key]
         slot = np.arange(len(by_key)) - np.searchsorted(c_sorted, c_sorted)
@@ -407,30 +411,18 @@ class NeighborMatrix:
         kept = by_key[top]
         to = c_sorted[top] * k + slot[top]
         to_d[to], to_i[to] = d_all[kept], i_all[kept]
-        # rows move slot to slot and are copied once; the right-hand side is
-        # gathered before any slot is written
+        # the right-hand side is gathered before any slot is written
         moved = kept < len(held)
         to_v[to[moved]] = to_v[held[kept[moved]]]
-        to_v[to[~moved]] = block.values[r0 + at[kept[~moved] - len(held)]]
-        self.count.reshape(-1)[touched] = np.minimum(n_held + offered[in_tile], k)
+        to_v[to[~moved]] = source[rows[kept[~moved] - len(held)]]
+        self.count.reshape(-1)[touched] = np.minimum(n_held + offered, k)
 
     def merge(self, other: "NeighborMatrix") -> "NeighborMatrix":
-        """Keep each cell's k best entries of the two matrices' union."""
-        k = self.k
-        held = np.concatenate([self.filled(), other.filled()], axis=2)
-        dist = np.concatenate([self.dist, other.dist], axis=2)
-        ids = np.concatenate([self.ids, other.ids], axis=2)
-        values = np.concatenate([self.values, other.values], axis=2)
-        # per cell: filled slots first, each in ascending (distance, id); the
-        # first k as slot numbers of the joined arrays, flat in cell order
-        best = np.lexsort((ids, dist, ~held), axis=2)[..., :k]
-        best += 2 * k * np.arange(self.count.size).reshape(*self.count.shape, 1)
-        best = best.reshape(-1)
-        # "clip" (`best` is in range) lets `take` write into `out` with no
-        # temporary copy, which would be the driver's peak memory
-        for to, joined in zip(self._slots(), (dist, ids, values)):
-            np.take(joined.reshape(2 * len(to), *to.shape[1:]), best, axis=0, out=to, mode="clip")
-        self.count[...] = np.minimum(self.count + other.count, k)
+        """Keep each cell's k best entries of the two matrices' union:
+        `other`'s filled slots are inserted as candidates."""
+        d, ids, values = other._slots()
+        filled = np.flatnonzero(other.filled())
+        self._insert(filled // self.k, d[filled], ids[filled], values, filled)
         return self
 
     def _slots(self) -> tuple:

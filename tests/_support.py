@@ -127,6 +127,7 @@ def spawn_worker(threads: int = 1):
 
 
 def reap(procs, timeout: float = 15.0) -> list[int]:
+    """Each process's exit code, killed after `timeout`; its pipes are closed."""
     codes = []
     for proc in procs:
         try:
@@ -134,6 +135,8 @@ def reap(procs, timeout: float = 15.0) -> list[int]:
         except subprocess.TimeoutExpired:
             proc.kill()
             codes.append(proc.wait())
+        proc.stdout.close()
+        proc.stderr.close()
     return codes
 
 

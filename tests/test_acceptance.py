@@ -9,7 +9,7 @@ import pytest
 
 from direlieff.bench import avg_diff, scaling_sweep, speedup_sweep, stability_curve
 from direlieff.cluster import ClusterEngine, encode_frame, parse_frame
-from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset, draw_sample_positions
+from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset, available_cores, draw_sample_positions
 from direlieff.model import (
     DiffConfig,
     DiffMode,
@@ -200,8 +200,8 @@ def test_criterion_5_worker_speedup():
         f"{elapsed:.1f}s budget 600s",
     )
     assert ratio <= 0.6, (
-        f"no speedup on this host: ratio {ratio:.2f}; the sandbox exposes a "
-        f"single CPU core, so extra workers only add scheduling overhead"
+        f"4 workers took {ratio:.2f} of 1 worker's time (t1={t1:.2f}s t4={t4:.2f}s), "
+        f"bound 0.60, on {available_cores()} available cores"
     )
     assert elapsed <= 600.0
 

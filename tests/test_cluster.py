@@ -227,9 +227,10 @@ class TestClusterRuns:
             eng.connect()
 
 
-def fake_worker(hello: dict):
+def fake_worker(hello: dict, replies=()):
     """A listening socket that greets one driver with REGISTER `hello`,
-    then records what it reads next (b"" once the driver closes)."""
+    answers each frame it reads next with one raw frame of `replies`, then
+    records what it reads next (b"" once the driver closes)."""
     srv = socket.create_server(("127.0.0.1", 0))
     seen = []
 
@@ -237,6 +238,9 @@ def fake_worker(hello: dict):
         conn, _ = srv.accept()
         with conn:
             conn.sendall(encode_frame(MSG_REGISTER, json.dumps(hello).encode("utf-8")))
+            for reply in replies:
+                read_frame(conn)
+                conn.sendall(reply)
             seen.append(conn.recv(1))
 
     thread = threading.Thread(target=serve, daemon=True)
@@ -261,6 +265,47 @@ class TestHandshake:
         assert not thread.is_alive()
         assert seen == [b""]  # the driver closed the connection
         assert eng._conns == []
+
+
+# STAGE_RESULT payloads whose stage name cannot be read: too short for the
+# name length, a negative length, a length past the payload, and a name
+# that is not UTF-8
+BAD_NAMED = [b"\x00\x01", b"\xff\xff\xff\xff", b"\x00\x00\x00\x09ranges", b"\x00\x00\x00\x02\xff\xfe"]
+BAD_NAMED_IDS = ["short", "negative", "overrun", "not-utf8"]
+# a frame of unknown tag 99
+UNKNOWN_TAG = b"\x00\x00\x00\x00\x63"
+
+
+class TestDriverReplies:
+    """A worker reply the driver cannot read ends in a ClusterError naming
+    the worker, and the driver hangs up."""
+
+    def assert_rejected(self, ds, replies, match):
+        srv, thread, seen = fake_worker({"threads": 1, "protocol": PROTOCOL_VERSION}, replies)
+        host, port = srv.getsockname()[:2]
+        try:
+            eng = ClusterEngine([(host, port)], timeout=10.0)
+            with pytest.raises(ClusterError, match=f"worker {host}:{port}: {match}"):
+                eng.run_stage(ds, RANGES, None)
+            thread.join(timeout=10.0)
+        finally:
+            srv.close()
+        assert not thread.is_alive()
+        assert seen == [b""]  # the driver closed the connection
+        assert eng._conns == []
+
+    @pytest.mark.parametrize("payload", BAD_NAMED, ids=BAD_NAMED_IDS)
+    def test_malformed_assignment_reply(self, mixed_dataset, payload):
+        self.assert_rejected(mixed_dataset, [encode_frame(MSG_STAGE_RESULT, payload)], "malformed STAGE_RESULT")
+
+    @pytest.mark.parametrize("payload", BAD_NAMED, ids=BAD_NAMED_IDS)
+    def test_malformed_stage_result(self, mixed_dataset, payload):
+        stored = cluster._pack_named("assign", pack(np.array([60])))
+        replies = [encode_frame(MSG_STAGE_RESULT, stored), encode_frame(MSG_STAGE_RESULT, payload)]
+        self.assert_rejected(mixed_dataset, replies, "malformed STAGE_RESULT")
+
+    def test_unknown_tag(self, mixed_dataset):
+        self.assert_rejected(mixed_dataset, [UNKNOWN_TAG], "unknown message tag 99")
 
 
 class TestWorkerProcess:

@@ -8,6 +8,7 @@ import pytest
 from direlieff.engine import (
     EmptyDatasetError,
     EngineConfig,
+    EngineError,
     LocalEngine,
     PartitionedDataset,
 )
@@ -354,6 +355,13 @@ class TestRank:
         ds = PartitionedDataset.from_blocks([InstanceBlock([0], [0], [[0.0]])])
         with pytest.raises(ValueError, match="schema"):
             rank(ds, RankConfig(m=1, k=1, seed=0))
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_outside_schema_named(self, label):
+        # two classes: a label of 2 or -1 is no class of the schema
+        blocks = [InstanceBlock([0, 1], [0, 1], [[0.0], [1.0]]), InstanceBlock([2, 3], [1, label], [[0.2], [0.8]])]
+        with pytest.raises(EngineError, match=rf"partition 1 has class label {label}, outside \[0, 2\)"):
+            rank(PartitionedDataset.from_blocks(blocks, schema=numeric_schema(1)), RankConfig(m=2, k=1, seed=0))
 
     def test_result_carries_run_facts(self):
         ds = tiny_dataset([[0.0], [1.0], [0.2], [0.8]], [0, 1, 0, 1], numeric_schema(1))
