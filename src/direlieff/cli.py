@@ -27,7 +27,7 @@ from .bench import (
 from .cluster import ClusterEngine, serve_worker
 from .engine import EngineConfig, EngineError, LocalEngine
 from .ingest import DatasetSource, IngestError, load
-from .model import DiffConfig, DiffMode, ModelError, RankConfig
+from .model import DiffConfig, DiffMode, InstanceBlock, ModelError, RankConfig
 from .pipeline import rank, write_weights_csv
 from .reference import relieff_sequential
 from .synth import SynthSpec, gen_synthetic, make_dataset
@@ -217,7 +217,7 @@ def _cmd_compare(args) -> int:
     engine = LocalEngine()
     result = rank(ds, config, engine)
     oracle = relieff_sequential(
-        ds.repartitioned(1).partition(0),
+        InstanceBlock.concat([ds.partition(i) for i in range(ds.num_partitions)]),
         result.samples,
         config.k,
         config.diff,

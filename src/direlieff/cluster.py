@@ -8,12 +8,16 @@ Stage code is never transmitted: both sides resolve stage names in the
 shared registry.
 
 Frame layout: 4-byte big-endian payload length, 1-byte type tag, payload.
-Payloads past the REGISTER JSON and stage names are `wire` arrays; a
-partition travels as its ids, labels and values (`encode_assignment`).
-Each worker thread folds its contiguous run of partitions from one zero
+REGISTER is the JSON object {"protocol": PROTOCOL_VERSION}, here 3.  Past
+it and the stage names, payloads are `wire` arrays.  ASSIGN_PARTITIONS
+holds the schema as JSON, each partition's global index and row count,
+then the partitions' ids, labels and values (`encode_assignment`).  Each
+worker thread folds its contiguous run of partitions from one zero
 (`fold_runs`); the worker combines its threads' results, and the driver
-the workers', in partition order.  Error policy is fail-fast: any worker
-failure aborts the whole run.
+the workers', in partition order.  The driver enforces
+`EngineConfig.max_result_bytes`: it reads a STAGE_RESULT header and
+rejects a result over the cap before it reads the payload.  Error policy
+is fail-fast: any worker failure aborts the whole run.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ __all__ = [
     "encode_assignment",
     "decode_assignment",
     "encode_frame",
-    "parse_frame",
     "read_frame",
     "serve_worker",
     "ClusterEngine",
@@ -62,7 +65,7 @@ MSG_ERROR = 5
 MSG_SHUTDOWN = 6
 
 # sent in REGISTER; raise it whenever any payload's layout changes
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _KNOWN_TAGS = frozenset(
     (MSG_REGISTER, MSG_ASSIGN_PARTITIONS, MSG_RUN_STAGE, MSG_STAGE_RESULT, MSG_ERROR, MSG_SHUTDOWN)
@@ -87,19 +90,6 @@ def encode_frame(tag: int, payload: bytes) -> bytes:
     return _FRAME_HEAD.pack(len(payload), tag) + payload
 
 
-def parse_frame(buf: bytes):
-    """Split one frame off the front of `buf`; returns (tag, payload, rest)."""
-    if len(buf) < _FRAME_HEAD.size:
-        raise ClusterError("truncated frame header")
-    length, tag = _FRAME_HEAD.unpack_from(buf, 0)
-    end = _FRAME_HEAD.size + length
-    if len(buf) < end:
-        raise ClusterError("truncated frame payload")
-    if tag not in _KNOWN_TAGS:
-        raise ClusterError(f"unknown message tag {tag}")
-    return tag, buf[_FRAME_HEAD.size : end], buf[end:]
-
-
 def _recvall(conn: socket.socket, n: int) -> bytes:
     chunks = []
     while n:
@@ -111,11 +101,16 @@ def _recvall(conn: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(conn: socket.socket):
-    head = _recvall(conn, _FRAME_HEAD.size)
-    length, tag = _FRAME_HEAD.unpack(head)
+def read_frame(conn: socket.socket, max_result: int = _MAX_FRAME_PAYLOAD):
+    """(tag, payload) of the next frame on `conn`.  ClusterError, before
+    any of the payload is read, on an unknown tag or a STAGE_RESULT payload
+    longer than `max_result` bytes; ConnectionError if the peer hangs up
+    inside the frame."""
+    length, tag = _FRAME_HEAD.unpack(_recvall(conn, _FRAME_HEAD.size))
     if tag not in _KNOWN_TAGS:
         raise ClusterError(f"unknown message tag {tag}")
+    if tag == MSG_STAGE_RESULT and length > max_result:
+        raise ClusterError(f"STAGE_RESULT of {length} bytes exceeds cap {max_result}")
     payload = _recvall(conn, length) if length else b""
     return tag, payload
 
@@ -144,12 +139,11 @@ def _unpack_named(payload: bytes):
 # -- worker -------------------------------------------------------------------
 
 
-def encode_assignment(max_result_bytes: int, schema: Schema, parts) -> bytes:
-    """ASSIGN_PARTITIONS payload: the result cap, the schema as JSON, each
-    partition's global index and row count, then all partitions' ids,
-    labels and values; `parts` is a list of (global index, block)."""
+def encode_assignment(schema: Schema, parts) -> bytes:
+    """ASSIGN_PARTITIONS payload: the schema as JSON, each partition's
+    global index and row count, then all partitions' ids, labels and
+    values; `parts` is a list of (global index, block)."""
     return pack(
-        np.array([max_result_bytes], dtype=np.int64),
         np.frombuffer(json.dumps(schema.to_dict()).encode("utf-8"), dtype=np.uint8),
         np.array([gidx for gidx, _ in parts], dtype=np.int64),
         np.array([len(block) for _, block in parts], dtype=np.int64),
@@ -160,22 +154,21 @@ def encode_assignment(max_result_bytes: int, schema: Schema, parts) -> bytes:
 
 
 def decode_assignment(payload: bytes):
-    """(result cap, schema, [(global index, block)]) of an ASSIGN_PARTITIONS
-    payload; ValueError unless it holds one cap, a schema, partition
-    indexes >= 0 in ascending order, and row counts >= 0 that add up to the
-    rows."""
-    cap, schema_json, gidx, nrows, ids, labels, values = unpack(
-        payload, np.int64, np.uint8, np.int64, np.int64, np.int64, np.int32, np.float64
+    """(schema, [(global index, block)]) of an ASSIGN_PARTITIONS payload;
+    ValueError unless it holds a schema, partition indexes >= 0 in
+    ascending order, and row counts >= 0 that add up to the rows."""
+    schema_json, gidx, nrows, ids, labels, values = unpack(
+        payload, np.uint8, np.int64, np.int64, np.int64, np.int32, np.float64
     )
-    if len(cap) != 1 or len(nrows) != len(gidx) or (gidx < 0).any() or (np.diff(gidx) <= 0).any():
-        raise ValueError("partition assignment needs one result cap and ascending partition indexes >= 0")
+    if len(nrows) != len(gidx) or (gidx < 0).any() or (np.diff(gidx) <= 0).any():
+        raise ValueError("partition assignment needs one row count per partition, indexes >= 0 ascending")
     if ((nrows < 0) | (nrows > len(ids))).any() or nrows.sum() != len(ids):
         raise ValueError("partition assignment row counts must be >= 0 and add up to the rows")
     schema = Schema.from_dict(json.loads(schema_json.tobytes()))
     block = check_block(ids, labels, values, schema)
     ends = np.cumsum(nrows).tolist()
     parts = [(g, block.slice(end - n, end)) for g, n, end in zip(gidx.tolist(), nrows.tolist(), ends)]
-    return int(cap[0]), schema, parts
+    return schema, parts
 
 
 def _worker_run_stage(assignment, payload: bytes, threads: int) -> bytes:
@@ -186,22 +179,20 @@ def _worker_run_stage(assignment, payload: bytes, threads: int) -> bytes:
         raise ClusterError(f"unknown stage {name!r}")
     if assignment is None:
         raise ClusterError("RUN_STAGE before ASSIGN_PARTITIONS")
-    max_result_bytes, schema, assigned = assignment
+    schema, assigned = assignment
     params = stage.decode_params(body, schema)
     result = fold_runs(stage, schema, params, assigned, threads)
-    out = stage.encode_result(result, schema)
-    if len(out) > max_result_bytes:
-        raise ClusterError(f"stage {name!r} result of {len(out)} bytes exceeds cap {max_result_bytes}")
-    return _pack_named(name, out)
+    return _pack_named(name, stage.encode_result(result, schema))
 
 
 def serve_worker(host: str, port: int, threads: int = 1, *, on_listen=None) -> int:
     """Run one worker session; returns a process exit code.
 
     Listens, serves a single driver connection until SHUTDOWN (exit 0) or
-    connection loss / protocol violation (exit 1).  `on_listen` is called
-    with the bound (host, port) once the socket is ready, which supports
-    ephemeral ports.
+    connection loss / protocol violation (exit 1).  A request that fails,
+    its reply's frame included, is answered with ERROR.  `on_listen` is
+    called with the bound (host, port) once the socket is ready, which
+    supports ephemeral ports.
     """
     with socket.create_server((host, port)) as srv:
         if on_listen is not None:
@@ -209,7 +200,7 @@ def serve_worker(host: str, port: int, threads: int = 1, *, on_listen=None) -> i
         conn, peer = srv.accept()
         with conn:
             assignment = None
-            _send(conn, MSG_REGISTER, json.dumps({"threads": threads, "protocol": PROTOCOL_VERSION}).encode("utf-8"))
+            _send(conn, MSG_REGISTER, json.dumps({"protocol": PROTOCOL_VERSION}).encode("utf-8"))
             while True:
                 try:
                     tag, payload = read_frame(conn)
@@ -227,16 +218,19 @@ def serve_worker(host: str, port: int, threads: int = 1, *, on_listen=None) -> i
                 try:
                     if tag == MSG_ASSIGN_PARTITIONS:
                         assignment = decode_assignment(payload)
-                        reply = _pack_named("assign", pack(np.array([sum(len(b) for _, b in assignment[2])])))
+                        reply = _pack_named("assign", pack(np.array([sum(len(b) for _, b in assignment[1])])))
                     elif tag == MSG_RUN_STAGE:
                         reply = _worker_run_stage(assignment, payload, threads)
                     else:
                         raise ClusterError(f"unexpected message tag {tag} on worker")
+                    frame = encode_frame(MSG_STAGE_RESULT, reply)
                 except Exception as exc:
                     detail = "".join(traceback.format_exception_only(exc)).strip()
-                    _send(conn, MSG_ERROR, detail.encode("utf-8"))
-                    continue
-                _send(conn, MSG_STAGE_RESULT, reply)
+                    frame = encode_frame(MSG_ERROR, detail.encode("utf-8"))
+                try:
+                    conn.sendall(frame)
+                except OSError:  # the driver hung up
+                    return 1
 
 
 # -- driver --------------------------------------------------------------------
@@ -260,7 +254,6 @@ class ClusterEngine:
         self._conns: list[socket.socket] = []
         self._current: PartitionedDataset | None = None
         self._assignment: list[list[int]] = []
-        self._lens: list[int] = []
 
     # -- connection management
 
@@ -298,7 +291,7 @@ class ClusterEngine:
         self._current = None
 
     def shutdown(self) -> None:
-        for conn, addr in zip(self._conns, self.addrs):
+        for conn in self._conns:
             try:
                 _send(conn, MSG_SHUTDOWN)
             except OSError:
@@ -312,9 +305,9 @@ class ClusterEngine:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    def _read(self, conn: socket.socket, name: str):
+    def _read(self, conn: socket.socket, name: str, cap: int = _MAX_FRAME_PAYLOAD):
         try:
-            return read_frame(conn)
+            return read_frame(conn, cap)
         except (ConnectionError, OSError) as exc:
             self.close()
             raise ClusterError(f"worker {name}: connection lost: {exc}") from exc
@@ -322,8 +315,8 @@ class ClusterEngine:
             self.close()
             raise ClusterError(f"worker {name}: {exc}") from exc
 
-    def _expect_result(self, conn: socket.socket, name: str, stage_name: str) -> bytes:
-        tag, payload = self._read(conn, name)
+    def _expect_result(self, conn: socket.socket, name: str, stage_name: str, cap: int = _MAX_FRAME_PAYLOAD) -> bytes:
+        tag, payload = self._read(conn, name, cap)
         if tag == MSG_ERROR:
             self.close()
             raise ClusterError(f"worker {name}: {payload.decode('utf-8', 'replace')}")
@@ -346,32 +339,20 @@ class ClusterEngine:
         if ds.schema is None:
             raise ClusterError("cluster execution needs a dataset with a schema")
         self.connect()
-        nparts = ds.num_partitions
-        sizes = split_sizes(nparts, len(self.addrs))
-        self._assignment = []
-        self._lens = [len(ds.partition(i)) for i in range(nparts)]
-        at = 0
-        for w, conn in enumerate(self._conns):
-            mine = list(range(at, at + sizes[w]))
-            at += sizes[w]
-            self._assignment.append(mine)
-            payload = encode_assignment(self.config.max_result_bytes, ds.schema, [(g, ds.partition(g)) for g in mine])
-            _send(conn, MSG_ASSIGN_PARTITIONS, payload)
-        for w, (conn, addr) in enumerate(zip(self._conns, self.addrs)):
+        bounds = np.cumsum([0, *split_sizes(ds.num_partitions, len(self.addrs))]).tolist()
+        self._assignment = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        for conn, mine in zip(self._conns, self._assignment):
+            _send(conn, MSG_ASSIGN_PARTITIONS, encode_assignment(ds.schema, [(g, ds.partition(g)) for g in mine]))
+        for conn, addr, mine in zip(self._conns, self.addrs, self._assignment):
             name = f"{addr[0]}:{addr[1]}"
             body = self._expect_result(conn, name, "assign")
-            expected = sum(self._lens[i] for i in self._assignment[w])
+            expected = sum(len(ds.partition(g)) for g in mine)
             if body != pack(np.array([expected])):
                 self.close()
                 raise ClusterError(f"worker {name}: did not confirm storing {expected} rows")
         self._current = ds
 
     # -- stage interface (mirrors LocalEngine)
-
-    def partition_lens(self, ds: PartitionedDataset) -> list[int]:
-        if self._current is not ds:
-            self.distribute(ds)
-        return list(self._lens)
 
     def run_stage(self, ds: PartitionedDataset, stage, params):
         if self._current is not ds:
@@ -388,7 +369,7 @@ class ClusterEngine:
         result = None
         for w in active:
             name = f"{self.addrs[w][0]}:{self.addrs[w][1]}"
-            body = self._expect_result(self._conns[w], name, stage.name)
+            body = self._expect_result(self._conns[w], name, stage.name, self.config.max_result_bytes)
             try:
                 partial = stage.decode_result(body, ds.schema, params)
             except ValueError as exc:

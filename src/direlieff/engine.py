@@ -17,6 +17,8 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import InstanceBlock
 
 __all__ = [
@@ -49,7 +51,9 @@ class ResultSizeError(EngineError):
 @dataclass(frozen=True)
 class EngineConfig:
     """`workers` is the most threads a stage runs on; `fold_runs` uses no
-    more threads than the process has cores."""
+    more threads than the process has cores.  `max_result_bytes` caps a
+    stage's encoded result; on a cluster, each worker's STAGE_RESULT
+    payload for a stage, whose stage name adds 4 + len(name) bytes."""
 
     workers: int = 1
     max_result_bytes: int = DEFAULT_MAX_RESULT_BYTES
@@ -138,7 +142,9 @@ class PartitionedDataset:
     """Read-only dataset: a schema and ordered `InstanceBlock` partitions.
     EngineError names a partition that is not a block, has another width
     than the schema (or the first partition), or has a class label that the
-    schema lacks."""
+    schema lacks, and an instance id that occurs more than once with the
+    partitions that hold it: ids break distance ties, so they must be
+    unique."""
 
     def __init__(self, blocks, schema=None):
         blocks = list(blocks)
@@ -157,6 +163,7 @@ class PartitionedDataset:
                 bad = block.labels[(block.labels < 0) | (block.labels >= schema.num_classes)]
                 if len(bad):
                     raise EngineError(f"partition {i} has class label {bad[0]}, outside [0, {schema.num_classes})")
+        _check_unique_ids(blocks)
         self._blocks = blocks
         self.schema = schema
 
@@ -180,9 +187,22 @@ class PartitionedDataset:
     def partition(self, i: int) -> InstanceBlock:
         return self._blocks[i]
 
-    def repartitioned(self, parts: int) -> "PartitionedDataset":
-        """Same rows, contiguously re-split into `parts` partitions."""
-        return PartitionedDataset.split(InstanceBlock.concat(self._blocks), parts, self.schema)
+    def partition_lens(self) -> list[int]:
+        return [len(block) for block in self._blocks]
+
+
+def _check_unique_ids(blocks) -> None:
+    """EngineError naming the smallest repeated id and the partitions that
+    hold it.  Ids ascending across the partitions, as a loaded file's
+    are, need no sort."""
+    ids = [block.ids for block in blocks if len(block)]
+    if all((b[1:] > b[:-1]).all() for b in ids) and all(a[-1] < b[0] for a, b in zip(ids, ids[1:])):
+        return
+    ordered = np.sort(np.concatenate(ids))
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(repeats):
+        where = [i for i, block in enumerate(blocks) if (block.ids == repeats[0]).any()]
+        raise EngineError(f"instance id {repeats[0]} occurs more than once, in partitions {where}")
 
 
 class LocalEngine:
@@ -195,9 +215,6 @@ class LocalEngine:
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
-
-    def partition_lens(self, ds: PartitionedDataset) -> list[int]:
-        return [len(ds.partition(i)) for i in range(ds.num_partitions)]
 
     def run_stage(self, ds: PartitionedDataset, stage, params):
         """Run a registered stage with `fold_runs`: each thread's

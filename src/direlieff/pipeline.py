@@ -53,7 +53,7 @@ log = logging.getLogger(__name__)
 
 def compute_ranges(ds: PartitionedDataset, engine) -> FeatureRange:
     """Exact global per-feature (min, max); one fold pass."""
-    if sum(engine.partition_lens(ds)) == 0:
+    if sum(ds.partition_lens()) == 0:
         raise EmptyDatasetError("cannot compute ranges of an empty dataset")
     mins, maxs = engine.run_stage(ds, RANGES, None)
     return FeatureRange(mins, maxs, ds.schema.numeric_mask())
@@ -71,8 +71,8 @@ def select_samples(ds: PartitionedDataset, engine, m: int, seed: int) -> Instanc
 
     m greater than the dataset size is clamped to it with a warning.
     """
-    lens = engine.partition_lens(ds)
-    n = sum(lens)
+    ends = np.cumsum(ds.partition_lens())
+    n = int(ends[-1])
     if n == 0:
         raise EmptyDatasetError("cannot sample from an empty dataset")
     if m > n:
@@ -82,12 +82,7 @@ def select_samples(ds: PartitionedDataset, engine, m: int, seed: int) -> Instanc
     # FETCH returns the rows in ascending position; by_pos[r] is the draw
     # slot of fetched row r
     by_pos = np.argsort(positions)
-    bounds = np.cumsum(lens)
-    picks: dict[int, list[int]] = {}
-    for pos in positions[by_pos].tolist():
-        pidx = int(np.searchsorted(bounds, pos, side="right"))
-        picks.setdefault(pidx, []).append(pos - (int(bounds[pidx - 1]) if pidx else 0))
-    fetched = engine.run_stage(ds, FETCH, FetchParams(picks=picks))
+    fetched = engine.run_stage(ds, FETCH, FetchParams(positions[by_pos], ends))
     return fetched.take(np.argsort(by_pos))
 
 
@@ -189,7 +184,7 @@ def rank(ds: PartitionedDataset, config: RankConfig, engine=None) -> RankResult:
     if ds.schema is None:
         raise ValueError("ranking needs a dataset with a schema")
     engine = engine if engine is not None else LocalEngine()
-    n = sum(engine.partition_lens(ds))
+    n = sum(ds.partition_lens())
     ranges = compute_ranges(ds, engine)
     priors = compute_priors(ds, engine)
     samples = select_samples(ds, engine, config.m, config.seed)

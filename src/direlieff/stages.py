@@ -163,15 +163,16 @@ class PriorsStage(Stage):
 
 @dataclass(frozen=True)
 class FetchParams:
-    """Rows to pull: picks[p] lists the offsets, ascending, of the wanted
-    rows inside partition p."""
+    """Rows to pull: their global positions, ascending, and the position
+    one past each partition's last row."""
 
-    picks: dict
+    positions: np.ndarray
+    ends: np.ndarray
 
 
 class FetchStage(Stage):
-    """Collects specific rows by position into one block, in partition
-    order and, within a partition, in the order of its picks."""
+    """Collects specific rows by global position into one block, in
+    ascending position order."""
 
     name = "fetch"
 
@@ -179,27 +180,26 @@ class FetchStage(Stage):
         return InstanceBlock(np.empty(0), np.empty(0), np.empty((0, schema.num_features)))
 
     def run_block(self, acc, block, params, schema, partition_index):
-        return self.comb(acc, block.take(params.picks.get(partition_index, [])))
+        """ValueError if the partition's length is not its span in `ends`."""
+        span = np.concatenate(([0], params.ends))[partition_index : partition_index + 2]
+        if len(span) != 2 or span[1] - span[0] != len(block):
+            raise ValueError(f"partition {partition_index} of {len(block)} rows is not spanned by the fetch ends")
+        lo, hi = np.searchsorted(params.positions, span)
+        return self.comb(acc, block.take(params.positions[lo:hi] - span[0]))
 
     def comb(self, a, b):
         return InstanceBlock.concat([a, b])
 
     def encode_params(self, params, schema):
-        parts = sorted(params.picks)
-        return pack(
-            np.array(parts, dtype=np.int64),
-            np.array([len(params.picks[p]) for p in parts], dtype=np.int64),
-            [np.asarray(params.picks[p], dtype=np.int64) for p in parts],
-        )
+        return pack(np.asarray(params.positions, dtype=np.int64), np.asarray(params.ends, dtype=np.int64))
 
     def decode_params(self, buf, schema):
-        parts, counts, offsets = unpack(buf, np.int64, np.int64, np.int64)
-        if len(counts) != len(parts) or (np.diff(parts) <= 0).any():
-            raise ValueError("fetch picks need one count per partition, partitions in ascending order")
-        if ((counts < 0) | (counts > len(offsets))).any() or counts.sum() != len(offsets) or (offsets < 0).any():
-            raise ValueError("fetch pick counts must be >= 0 and add up to the offsets, and offsets >= 0")
-        picks = np.split(offsets, np.cumsum(counts)[:-1])
-        return FetchParams(picks={p: o.tolist() for p, o in zip(parts.tolist(), picks)})
+        positions, ends = unpack(buf, np.int64, np.int64)
+        if (np.diff(positions) <= 0).any() or (np.diff(ends) < 0).any() or (len(ends) and ends[0] < 0):
+            raise ValueError("fetch positions must ascend strictly, and partition ends ascend from >= 0")
+        if len(positions) and (positions[0] < 0 or not len(ends) or positions[-1] >= ends[-1]):
+            raise ValueError("fetch positions must lie in [0, the last partition end)")
+        return FetchParams(positions, ends)
 
     def encode_result(self, result, schema):
         return pack(result.ids, result.labels, result.values)

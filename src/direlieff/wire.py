@@ -19,14 +19,15 @@ _COUNT_BYTES = 8
 
 
 def pack(*arrays) -> bytes:
-    """Each argument flattened after its element count.  A list of arrays
-    of one dtype is written as one array, their concatenation, without
-    joining them in memory first."""
+    """Each argument flattened, in C order, after its element count.  A
+    list of arrays of one dtype is written as one array, their
+    concatenation, without joining them in memory first; each array is
+    copied once, to its C-ordered big-endian form, before the join."""
     parts = []
     for arr in arrays:
         chunks = [np.asarray(c) for c in (arr if isinstance(arr, list) else [arr])]
         parts.append(sum(c.size for c in chunks).to_bytes(_COUNT_BYTES, "big"))
-        parts += [c.astype(c.dtype.newbyteorder(">")).tobytes() for c in chunks]
+        parts += [c.astype(c.dtype.newbyteorder(">"), order="C") for c in chunks]
     return b"".join(parts)
 
 

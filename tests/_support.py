@@ -1,6 +1,6 @@
 """Shared test helpers: randomized mixed-type datasets, a full-sort
-neighbour reference, damaged wire messages, and cluster workers, as
-processes or in-process threads."""
+neighbour reference, damaged wire messages, frames read off a socket, and
+cluster workers, as processes or in-process threads."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from direlieff import engine
-from direlieff.cluster import serve_worker
+from direlieff.cluster import read_frame, serve_worker
 from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema, feature_diffs
 
 
@@ -107,6 +107,21 @@ def wire_damage(buf: bytes, dtypes, data, cuts=None) -> list[bytes]:
         new = data.draw(st.integers(0, 2**64 - 1).filter(lambda v: v != old), label="count")
         bad.append(buf[:at] + new.to_bytes(8, "big") + buf[at + 8 :])
     return bad
+
+
+def read_frames(data: bytes, count: int = 1, **limits):
+    """`count` frames that `read_frame` reads from `data`, sent over a
+    socket pair and then closed, and the bytes left after them."""
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        receiver.settimeout(10)
+        sender.sendall(data)
+        sender.close()
+        frames = [read_frame(receiver, **limits) for _ in range(count)]
+        rest = b""
+        while chunk := receiver.recv(1 << 16):
+            rest += chunk
+    return frames, rest
 
 
 def spawn_worker(threads: int = 1):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from direlieff.bench import avg_diff, scaling_sweep, speedup_sweep, stability_curve
-from direlieff.cluster import ClusterEngine, encode_frame, parse_frame
+from direlieff.cluster import ClusterEngine, encode_frame
 from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset, available_cores, draw_sample_positions
 from direlieff.model import (
     DiffConfig,
@@ -24,7 +24,7 @@ from direlieff.reference import relieff_sequential
 from direlieff.stages import PRIORS, RANGES
 from direlieff.synth import SynthSpec, make_dataset
 
-from _support import random_mixed_block, reap, spawn_worker, uncapped_threads
+from _support import random_mixed_block, read_frames, reap, spawn_worker, uncapped_threads
 
 RESULTS: list[str] = []
 
@@ -52,7 +52,7 @@ def corpus():
         c = int(rng.integers(2, 6))
         schema, block = random_mixed_block(rng, n, a - a_nom, a_nom, c)
         partitions = int(rng.integers(1, 9))
-        ds = PartitionedDataset.from_blocks([block], schema=schema).repartitioned(partitions)
+        ds = PartitionedDataset.split(block, partitions, schema)
 
         k = int(rng.integers(1, 11))
         m = int(rng.integers(1, min(50, n) + 1))
@@ -103,7 +103,7 @@ def test_criterion_3_weight_range(corpus):
     )
     schema = Schema(features=feats, class_labels=("a", "b"))
     block = InstanceBlock(np.arange(n, dtype=np.int64), labels, values)
-    ds = PartitionedDataset.from_blocks([block], schema=schema).repartitioned(4)
+    ds = PartitionedDataset.split(block, 4, schema)
     top = rank(ds, RankConfig(m=100, k=10, seed=0)).weights.values[0]
     sep_gap = abs(top - 1.0)
 
@@ -292,7 +292,7 @@ def test_criterion_8_engine_laws():
         tag = rnd.randint(1, 6)
         payload = rnd.randbytes(rnd.randint(0, 256))
         frame = encode_frame(tag, payload)
-        got_tag, got_payload, rest = parse_frame(frame)
+        [(got_tag, got_payload)], rest = read_frames(frame)
         assert (got_tag, got_payload, rest) == (tag, payload, b"")
         assert encode_frame(got_tag, got_payload) == frame
 

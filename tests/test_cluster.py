@@ -2,7 +2,9 @@
 
 import json
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from direlieff.cluster import (
     decode_assignment,
     encode_assignment,
     encode_frame,
-    parse_frame,
     read_frame,
 )
 from direlieff.engine import EngineConfig, LocalEngine, PartitionedDataset
@@ -32,38 +33,44 @@ from direlieff.pipeline import compute_priors, compute_ranges, rank, select_samp
 from direlieff.stages import NEIGHBORS, PRIORS, RANGES, NeighborParams, check_block
 from direlieff.wire import pack, unpack
 
-from _support import random_mixed_block, reap, spawn_worker, worker_thread
+from _support import random_mixed_block, read_frames, reap, spawn_worker, worker_thread
 
 
 class TestFraming:
     def test_round_trip(self):
-        frame = encode_frame(MSG_RUN_STAGE, b"hello")
-        tag, payload, rest = parse_frame(frame)
-        assert (tag, payload, rest) == (MSG_RUN_STAGE, b"hello", b"")
+        frames, rest = read_frames(encode_frame(MSG_RUN_STAGE, b"hello"))
+        assert (frames, rest) == ([(MSG_RUN_STAGE, b"hello")], b"")
 
     def test_empty_payload(self):
-        tag, payload, rest = parse_frame(encode_frame(MSG_SHUTDOWN, b""))
-        assert (tag, payload, rest) == (MSG_SHUTDOWN, b"", b"")
+        frames, rest = read_frames(encode_frame(MSG_SHUTDOWN, b""))
+        assert (frames, rest) == ([(MSG_SHUTDOWN, b"")], b"")
 
     def test_rest_preserved(self):
         buf = encode_frame(MSG_REGISTER, b"a") + encode_frame(MSG_ERROR, b"b")
-        tag, payload, rest = parse_frame(buf)
-        assert (tag, payload) == (MSG_REGISTER, b"a")
-        assert parse_frame(rest)[:2] == (MSG_ERROR, b"b")
+        frames, rest = read_frames(buf)
+        assert frames == [(MSG_REGISTER, b"a")]
+        assert read_frames(rest)[0] == [(MSG_ERROR, b"b")]
 
     def test_truncated_header(self):
-        with pytest.raises(ClusterError, match="truncated"):
-            parse_frame(b"\x00\x00")
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            read_frames(b"\x00\x00")
 
     def test_truncated_payload(self):
         frame = encode_frame(MSG_RUN_STAGE, b"abcdef")
-        with pytest.raises(ClusterError, match="truncated"):
-            parse_frame(frame[:-1])
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            read_frames(frame[:-1])
 
     def test_unknown_tag_rejected_on_parse(self):
         bad = b"\x00\x00\x00\x00" + bytes([99])
         with pytest.raises(ClusterError, match="tag"):
-            parse_frame(bad)
+            read_frames(bad)
+
+    def test_result_over_limit_rejected_before_payload(self):
+        head = struct.pack("!IB", 11, MSG_STAGE_RESULT)  # no payload follows
+        with pytest.raises(ClusterError, match="STAGE_RESULT of 11 bytes exceeds cap 10"):
+            read_frames(head, max_result=10)
+        assert read_frames(encode_frame(MSG_STAGE_RESULT, b"x" * 10), max_result=10)[0] == [(MSG_STAGE_RESULT, b"x" * 10)]
+        assert read_frames(encode_frame(MSG_ERROR, b"x" * 11), max_result=10)[0] == [(MSG_ERROR, b"x" * 11)]
 
     def test_unknown_tag_rejected_on_encode(self):
         with pytest.raises(ClusterError, match="tag"):
@@ -77,7 +84,7 @@ class TestFraming:
     )
     def test_round_trip_property(self, tag, payload, trailer):
         frame = encode_frame(tag, payload)
-        got_tag, got_payload, rest = parse_frame(frame + trailer)
+        [(got_tag, got_payload)], rest = read_frames(frame + trailer)
         assert got_tag == tag
         assert got_payload == payload
         assert rest == trailer
@@ -154,10 +161,10 @@ class TestClusterRuns:
         assert np.array_equal(got.ranking, want.ranking)
 
     def test_partition_lens_and_helpers(self, mixed_dataset):
+        assert mixed_dataset.partition_lens() == [25, 15, 20]
         proc, addr = spawn_worker()
         try:
             with ClusterEngine([addr]) as eng:
-                assert eng.partition_lens(mixed_dataset) == [25, 15, 20]
                 ranges = compute_ranges(mixed_dataset, eng)
                 priors = compute_priors(mixed_dataset, eng)
                 eng.shutdown()
@@ -196,6 +203,16 @@ class TestClusterRuns:
             (code,) = reap([proc])
         # the driver aborts the run; the worker notices the drop and exits 1
         assert code == 1
+
+    def test_result_over_frame_limit_reported(self, mixed_dataset, monkeypatch):
+        # the neighbour result of m=60, k=10 is about 115 kB, the other
+        # messages of this run are under 10 kB
+        monkeypatch.setattr(cluster, "_MAX_FRAME_PAYLOAD", 10_000)
+        with worker_thread() as (host, port):
+            eng = ClusterEngine([(host, port)], timeout=30.0)
+            with pytest.raises(ClusterError, match=f"worker {host}:{port}: .*exceeds the 4-byte frame limit"):
+                rank(mixed_dataset, RankConfig(m=60, k=10, seed=1), engine=eng)
+            assert eng._conns == []  # the driver hung up, which ends the session
 
     @pytest.mark.parametrize("mangle", [lambda b: b[:10], lambda b: b[:-1], lambda b: b + b"\x00"])
     def test_malformed_result_names_worker(self, mixed_dataset, mangle):
@@ -251,7 +268,7 @@ def fake_worker(hello: dict, replies=()):
 class TestHandshake:
     @pytest.mark.parametrize("protocol", [None, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1])
     def test_other_protocol_version_rejected(self, protocol):
-        hello = {"threads": 1} if protocol is None else {"threads": 1, "protocol": protocol}
+        hello = {} if protocol is None else {"protocol": protocol}
         srv, thread, seen = fake_worker(hello)
         host, port = srv.getsockname()[:2]
         try:
@@ -280,11 +297,11 @@ class TestDriverReplies:
     """A worker reply the driver cannot read ends in a ClusterError naming
     the worker, and the driver hangs up."""
 
-    def assert_rejected(self, ds, replies, match):
-        srv, thread, seen = fake_worker({"threads": 1, "protocol": PROTOCOL_VERSION}, replies)
+    def assert_rejected(self, ds, replies, match, config=None):
+        srv, thread, seen = fake_worker({"protocol": PROTOCOL_VERSION}, replies)
         host, port = srv.getsockname()[:2]
         try:
-            eng = ClusterEngine([(host, port)], timeout=10.0)
+            eng = ClusterEngine([(host, port)], config, timeout=10.0)
             with pytest.raises(ClusterError, match=f"worker {host}:{port}: {match}"):
                 eng.run_stage(ds, RANGES, None)
             thread.join(timeout=10.0)
@@ -306,6 +323,15 @@ class TestDriverReplies:
 
     def test_unknown_tag(self, mixed_dataset):
         self.assert_rejected(mixed_dataset, [UNKNOWN_TAG], "unknown message tag 99")
+
+    def test_result_over_cap_rejected_before_payload(self, mixed_dataset):
+        stored = cluster._pack_named("assign", pack(np.array([60])))
+        head = struct.pack("!IB", 1 << 20, MSG_STAGE_RESULT)  # the payload never follows
+        t0 = time.perf_counter()
+        replies = [encode_frame(MSG_STAGE_RESULT, stored), head]
+        cap = EngineConfig(max_result_bytes=1000)
+        self.assert_rejected(mixed_dataset, replies, "STAGE_RESULT of 1048576 bytes exceeds cap 1000", cap)
+        assert time.perf_counter() - t0 < 5.0  # well inside the driver's 10 s timeout
 
 
 class TestWorkerProcess:
@@ -350,7 +376,7 @@ class TestWorkerProcess:
     def test_truncated_assignment_reports_error(self, mixed_dataset):
         proc, (host, port) = spawn_worker()
         parts = [(i, mixed_dataset.partition(i)) for i in range(mixed_dataset.num_partitions)]
-        payload = encode_assignment(1 << 20, mixed_dataset.schema, parts)
+        payload = encode_assignment(mixed_dataset.schema, parts)
         try:
             conn = socket.create_connection((host, port), timeout=10)
             assert read_frame(conn)[0] == MSG_REGISTER
@@ -373,10 +399,8 @@ class TestWorkerProcess:
 def assignment_with_schema(ds, schema_json: bytes) -> bytes:
     """`ds`'s whole ASSIGN_PARTITIONS payload with the schema bytes replaced."""
     parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]
-    arrays = unpack(
-        encode_assignment(1 << 20, ds.schema, parts), np.int64, np.uint8, np.int64, np.int64, np.int64, np.int32, np.float64
-    )
-    arrays[1] = np.frombuffer(schema_json, dtype=np.uint8)
+    arrays = unpack(encode_assignment(ds.schema, parts), np.uint8, np.int64, np.int64, np.int64, np.int32, np.float64)
+    arrays[0] = np.frombuffer(schema_json, dtype=np.uint8)
     return pack(*arrays)
 
 

@@ -1,6 +1,7 @@
 """Partitioned engine: dataset shape, the run_stage fold, sampling laws."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -73,8 +74,7 @@ class TestAggregate:
 
     def test_collect_concat(self):
         ds = make_ds(5, 3)
-        picks = {i: list(range(len(ds.partition(i)))) for i in range(3)}
-        got = LocalEngine().run_stage(ds, FETCH, FetchParams(picks=picks))
+        got = LocalEngine().run_stage(ds, FETCH, FetchParams(np.arange(5), np.cumsum(ds.partition_lens())))
         assert got.ids.tolist() == [0, 1, 2, 3, 4]
         assert np.array_equal(got.values, whole(ds).values)
 
@@ -116,13 +116,13 @@ class TestAggregate:
             assert np.array_equal(eng.run_stage(ds, PRIORS, None), np.bincount(labels, minlength=3))
         assert np.array_equal(mins, values.min(axis=0))
         assert np.array_equal(maxs, values.max(axis=0))
-        assert sum(eng.partition_lens(ds)) == n
+        assert sum(ds.partition_lens()) == n
 
 
 @st.composite
 def stage_cases(draw):
     """A dataset cut into partitions of random sizes, empty ones included,
-    and parameters for every stage: random fetch picks, and a neighbour
+    and parameters for every stage: random fetch positions, and a neighbour
     search over drawn samples.  Signs are flipped at random in numeric
     columns, so zeros of both signs meet in the ranges."""
     sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=7).filter(lambda s: sum(s) > 0), label="sizes")
@@ -134,16 +134,12 @@ def stage_cases(draw):
     block = InstanceBlock(block.ids, block.labels, values)
     bounds = np.cumsum([0, *sizes]).tolist()
     ds = PartitionedDataset.from_blocks([block.slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], schema)
-    picks = {
-        p: sorted(rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False).tolist())
-        for p, size in enumerate(sizes)
-        if size and rng.random() < 0.7
-    }
+    positions = np.sort(rng.choice(sum(sizes), size=int(rng.integers(0, sum(sizes) + 1)), replace=False))
     samples = block.take(rng.choice(len(block), size=int(rng.integers(1, min(len(block), 6) + 1)), replace=False))
     ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
     cfg = DiffConfig(DiffMode.RAMP, t_eq=0.1, t_diff=0.5) if rng.random() < 0.5 else DiffConfig()
     neighbor = NeighborParams.build(schema, samples, int(rng.integers(1, 6)), ranges, cfg)
-    return ds, [(RANGES, None), (PRIORS, None), (FETCH, FetchParams(picks=picks)), (NEIGHBORS, neighbor)]
+    return ds, [(RANGES, None), (PRIORS, None), (FETCH, FetchParams(positions, np.cumsum(sizes))), (NEIGHBORS, neighbor)]
 
 
 def per_partition_fold(ds, stage, params):
@@ -254,7 +250,7 @@ class TestDatasetShape:
 
     def test_repartition_preserves_order(self):
         ds = make_ds(11, 3)
-        again = ds.repartitioned(5)
+        again = PartitionedDataset.split(whole(ds), 5, ds.schema)
         assert again.num_partitions == 5
         assert again.schema is ds.schema
         assert whole(again).ids.tolist() == list(range(11))
@@ -263,13 +259,29 @@ class TestDatasetShape:
         block = InstanceBlock(
             np.arange(10), np.zeros(10, dtype=np.int32), np.arange(20.0).reshape(10, 2)
         )
-        ds = PartitionedDataset.from_blocks([block])
-        again = ds.repartitioned(4)
+        again = PartitionedDataset.split(block, 4)
         assert again.num_partitions == 4
         assert isinstance(again.partition(0), InstanceBlock)
         assert np.array_equal(
             np.concatenate([again.partition(i).ids for i in range(4)]), block.ids
         )
+
+    @pytest.mark.parametrize(
+        "ids, partitions, want",
+        [
+            (np.tile(np.arange(100), 2), 4, "instance id 0 occurs more than once, in partitions [0, 2]"),
+            (np.array([5, 1, 5, 2]), 1, "instance id 5 occurs more than once, in partitions [0]"),
+            (np.array([0, 1, 2, 2, 3]), 2, "instance id 2 occurs more than once, in partitions [0, 1]"),
+        ],
+        ids=["across", "within", "boundary"],
+    )
+    def test_rejects_repeated_ids(self, ids, partitions, want):
+        """Repeated ids would tie neighbours that the cluster's checked
+        matrix codec cannot order; the dataset refuses them on any backend."""
+        n = len(ids)
+        block = InstanceBlock(ids, np.arange(n) % 2, np.arange(2.0 * n).reshape(n, 2))
+        with pytest.raises(EngineError, match=re.escape(want)):
+            PartitionedDataset.split(block, partitions)
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):

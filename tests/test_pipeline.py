@@ -56,8 +56,7 @@ def tiny_dataset(values, labels, schema, partitions=1):
         np.asarray(labels, dtype=np.int32),
         np.asarray(values, dtype=np.float64),
     )
-    ds = PartitionedDataset.from_blocks([block], schema=schema)
-    return ds.repartitioned(partitions) if partitions > 1 else ds
+    return PartitionedDataset.split(block, partitions, schema)
 
 
 class TestRanges:
@@ -79,7 +78,7 @@ class TestRanges:
     def test_matches_scan_oracle(self, partitions):
         rng = np.random.default_rng(3)
         schema, block = random_mixed_block(rng, 40, 5, 2, 3)
-        ds = PartitionedDataset.from_blocks([block], schema=schema).repartitioned(partitions)
+        ds = PartitionedDataset.split(block, partitions, schema)
         r = compute_ranges(ds, LocalEngine())
         lo = np.full(schema.num_features, np.inf)
         hi = np.full(schema.num_features, -np.inf)
@@ -306,7 +305,7 @@ class TestRank:
     def test_matches_reference_when_m_equals_n(self):
         rng = np.random.default_rng(17)
         schema, block = random_mixed_block(rng, 20, 3, 2, 2)
-        ds = PartitionedDataset.from_blocks([block], schema=schema).repartitioned(3)
+        ds = PartitionedDataset.split(block, 3, schema)
         cfg = RankConfig(m=20, k=1, seed=2)
         result = rank(ds, cfg)
         want = relieff_sequential(list(block), result.samples, 1, cfg.diff, schema)

@@ -14,6 +14,7 @@ from direlieff.stages import (
     FetchParams,
     NeighborParams,
 )
+from direlieff.wire import pack
 
 
 @pytest.fixture(params=[0, 1, 2])
@@ -93,9 +94,10 @@ class TestPriorsStage:
 class TestFetchStage:
     def test_picks_by_partition_and_offset(self, dataset):
         schema, block = dataset
-        params = FetchParams(picks={0: [4, 10], 2: [3]})
+        n = len(block)
+        params = FetchParams(np.array([4, 10, 2 * n + 3]), np.array([n, 2 * n, 3 * n]))
         out = FETCH.run_block(FETCH.make_zero(schema, params), block, params, schema, 0)
-        out = FETCH.run_block(out, block, params, schema, 1)  # no picks here
+        out = FETCH.run_block(out, block, params, schema, 1)  # no positions here
         out = FETCH.run_block(out, block, params, schema, 2)
         assert isinstance(out, InstanceBlock)
         assert out.ids.tolist() == [int(block.ids[4]), int(block.ids[10]), int(block.ids[3])]
@@ -103,9 +105,9 @@ class TestFetchStage:
 
     def test_codecs_round_trip(self, dataset):
         schema, block = dataset
-        params = FetchParams(picks={3: [1, 2], 1: [0]})
+        params = FetchParams(np.array([0, 4, 7]), np.array([2, 2, 9]))
         back = FETCH.decode_params(FETCH.encode_params(params, schema), schema)
-        assert back.picks == params.picks
+        assert back.positions.tolist() == [0, 4, 7] and back.ends.tolist() == [2, 2, 9]
         result = block.take([4, 7])
         buf = FETCH.encode_result(result, schema)
         decoded = FETCH.decode_result(buf, schema, params)
@@ -114,6 +116,25 @@ class TestFetchStage:
         assert np.array_equal(decoded.values, result.values)
         with pytest.raises(ValueError, match="trailing"):
             FETCH.decode_result(buf + b"\x00", schema, params)
+
+    def test_partition_length_checked_against_ends(self, dataset):
+        schema, block = dataset
+        zero = FETCH.make_zero(schema, None)
+        n = len(block)
+        for ends, index in (([n - 1], 0), ([1, n + 2], 1), ([n], 1)):
+            with pytest.raises(ValueError, match="partition"):
+                FETCH.run_block(zero, block, FetchParams(np.array([0]), np.array(ends)), schema, index)
+
+    @pytest.mark.parametrize(
+        "positions, ends",
+        [([2, 1], [5]), ([1, 1], [5]), ([-1, 2], [5]), ([5], [5]), ([0], []), ([0], [3, 2, 6]), ([], [-1, 4])],
+        ids=["descending", "repeated", "negative", "past-end", "no-ends", "ends-descend", "negative-end"],
+    )
+    def test_bad_params_rejected(self, dataset, positions, ends):
+        schema, _ = dataset
+        buf = pack(np.array(positions, dtype=np.int64), np.array(ends, dtype=np.int64))
+        with pytest.raises(ValueError, match="fetch"):
+            FETCH.decode_params(buf, schema)
 
 
 class TestNeighborsStage:
@@ -160,3 +181,4 @@ class TestNeighborsStage:
         )
         back = NEIGHBORS.decode_result(NEIGHBORS.encode_result(res, schema), schema, params)
         assert grid_entries(back) == grid_entries(res)
+

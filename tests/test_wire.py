@@ -19,11 +19,11 @@ LAYOUTS = {
     ("ranges", "result"): (f8, f8),
     ("priors", "params"): (),
     ("priors", "result"): (i8,),
-    ("fetch", "params"): (i8, i8, i8),
+    ("fetch", "params"): (i8, i8),
     ("fetch", "result"): (i8, i4, f8),
     ("neighbors", "params"): (i8, f8, i8, i4, f8, f8, f8),
     ("neighbors", "result"): (i8, i8, f8, i8, f8),
-    ("assign", None): (i8, u1, i8, i8, i8, i4, f8),
+    ("assign", None): (u1, i8, i8, i8, i4, f8),
 }
 
 
@@ -51,6 +51,13 @@ class TestPackUnpack:
         with pytest.raises(ValueError, match="overruns"):
             unpack((2**64 - 1).to_bytes(8, "big"), f8)
 
+    def test_any_memory_order_packs_as_c_order(self):
+        fortran = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        strided = np.arange(30, dtype=i4)[::4]
+        assert not fortran.flags.c_contiguous and not strided.flags.c_contiguous
+        assert pack(fortran, strided) == pack(np.ascontiguousarray(fortran), strided.copy())
+        assert pack([fortran, strided.astype(f8)]) == pack(np.concatenate([fortran.ravel(), strided]).astype(f8))
+
     def test_empty_message(self):
         assert pack() == b"" and unpack(b"") == []
         with pytest.raises(ValueError, match="trailing"):
@@ -67,14 +74,14 @@ def codec_case(stage_name, part, seed):
         bounds = [0, *cuts.tolist(), len(block)]
         gidx = np.sort(rng.choice(10, size=3, replace=False)).tolist()
         parts = [(g, block.slice(lo, hi)) for g, lo, hi in zip(gidx, bounds, bounds[1:])]
-        buf = encode_assignment(int(rng.integers(0, 2**40)), schema, parts)
+        buf = encode_assignment(schema, parts)
         return buf, decode_assignment, lambda got: encode_assignment(*got)
     stage = STAGES[stage_name]
     params = None
     if stage_name == "fetch":
-        rows = [sorted(rng.choice(len(block), size=int(rng.integers(0, len(block) + 1)), replace=False).tolist())
-                for _ in range(2)]
-        params = FetchParams(picks={0: rows[0], int(rng.integers(1, 5)): rows[1]})
+        ends = np.cumsum([len(block), *rng.integers(0, 5, size=int(rng.integers(0, 3)))])
+        positions = np.sort(rng.choice(ends[-1], size=int(rng.integers(0, ends[-1] + 1)), replace=False))
+        params = FetchParams(positions, ends)
     elif stage_name == "neighbors":
         mask = schema.numeric_mask()
         ranges = FeatureRange(block.values.min(axis=0), block.values.max(axis=0), mask)
