@@ -43,14 +43,19 @@ since one of the k + 1 nearest may be the sample's own row.  An engine
 folds a thread's whole run of partitions into one matrix, so after its
 first tile the cells are full and the cut is almost never needed.
 `tiling` bounds the tile, the feature-major copy and the chunk, so the
-scratch does not grow with the sample count times the partition size.
+scratch does not grow with the sample count times the partition size.  The
+selection's own scratch, the class bounds gathered per tile column, the
+k-th cut and the exact refine's buffers, lives in the kernel chunk's
+buffer, which is idle between sample groups.
 
-Cells are written in one place, `NeighborMatrix._insert`: one `lexsort`
-keyed by (cell, distance, id), the cell numbered class * m + sample, sorts
-the candidates with their cells' held entries, and the first k of each
-cell are written back through flat slot indices.  A tile's refined pairs
-are candidates, one sort per (tile, sample group) for all classes, and so
-are the filled slots of a matrix being merged.
+Cells are written in one place, `NeighborMatrix._insert`, by position.
+Its candidates come sorted by (cell, distance, id), the cell numbered
+class * m + sample; each lands at the number of its cell's held entries
+that come before it plus its rank among its cell's candidates, held entries
+move up by the candidates placed before them, and what passes slot k
+drops.  Only candidates are sorted: a tile's refined pairs by one `lexsort`
+per (tile, sample group) for all classes, while the filled slots of a
+matrix being merged are in that order already.
 """
 
 from __future__ import annotations
@@ -63,25 +68,30 @@ from .wire import pack, unpack
 __all__ = ["NeighborMatrix", "tiling"]
 
 # Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
-# (samples, rows) distance tile (256 KiB), and the feature-major copy of the
-# tile's rows, one (features, samples, rows) kernel chunk and each of the
-# exact refine's three (pairs, features) buffers (1 MiB each).
-# Each kernel chunk and each tile costs a few GIL round trips, so threads
-# running partitions in parallel scale better with larger ones; a chunk
-# larger than the core's cache slows each pass, and a larger scratch raises
-# a worker's peak RSS.
-TILE_ELEMS = 1 << 15
+# (samples, rows) distance tile, and the feature-major copy of the tile's
+# rows and one (features, samples, rows) kernel chunk (1 MiB each).  A
+# tile's selection makes a run of small numpy calls, each holding the GIL,
+# whatever the tile's size, so threads running partitions in parallel
+# scale better with large tiles; the selection's own scratch lives in the
+# kernel chunk's buffer, idle between sample groups, so a larger tile adds
+# only the tile.  Each kernel chunk costs a few GIL round trips too, but a
+# chunk larger than the core's cache slows each pass.
+TILE_ELEMS = 1 << 17
 CHUNK_ELEMS = 1 << 17
-# Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get tiles and
-# chunks `LARGE_SCALE` times larger.  Threads running partitions in
-# parallel meet at the GIL: one that ends a numpy call while the other
-# holds the lock sleeps until it is let go, and each tile's selection holds
-# it through a run of small calls.  Larger chunks and tiles make fewer of
-# both per element.  One thread runs faster on the smaller, cache-resident
-# chunk, and the larger scratch is about half of a block at this size, so
-# smaller blocks keep the smaller caps.
+# Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get chunks
+# `LARGE_SCALE` times larger.  Threads running partitions in parallel meet
+# at the GIL: one that ends a numpy call while the other holds the lock
+# sleeps until it is let go, and larger chunks make fewer calls per
+# element.  One thread runs faster on the smaller, cache-resident chunk, and
+# the larger chunk is about a quarter of a block at this size, so smaller
+# blocks keep the smaller cap.
 LARGE_BLOCK_ELEMS = 1 << 21
 LARGE_SCALE = 4
+# A tile spans a run of about `RUN_ELEMS // m` rows for m samples,
+# `LARGE_SCALE` times more in a large block: few samples make tall runs, so
+# that a tile's selection covers many rows, but a run's feature-major copy
+# grows with it.
+RUN_ELEMS = 1 << 15
 # Rows a tile takes at least, while the block has them (about: tiles split
 # a block evenly): every kernel pass loops over a tile's rows innermost.
 TILE_MIN_ROWS = 2048
@@ -100,16 +110,16 @@ def tiling(p: int, m: int, a: int) -> tuple[int, int, int]:
 
     A tile spans `rows` rows of the block and `samples` samples; a kernel
     chunk spans all of a tile's rows and `chunk samples` of its samples.
-    Tiles are wide in samples, so that the feature-major copy of a tile's
-    rows serves many samples, but no shorter than about `TILE_MIN_ROWS`
-    rows.  A tile holds at most `TILE_ELEMS` distances and a chunk at most
-    `CHUNK_ELEMS` diffs (one row's, if wider); both caps are `LARGE_SCALE`
-    times larger for a block of `LARGE_BLOCK_ELEMS` elements or more.
+    A run spans about `RUN_ELEMS // m` rows, but no fewer than about
+    `TILE_MIN_ROWS`, and a tile as many samples as `TILE_ELEMS` distances
+    allow.  A chunk holds at most `CHUNK_ELEMS` diffs (one row's, if
+    wider); the chunk and the run are `LARGE_SCALE` times larger for a block
+    of `LARGE_BLOCK_ELEMS` elements or more.
     """
     scale = LARGE_SCALE if p * a >= LARGE_BLOCK_ELEMS else 1
-    tile, chunk = scale * TILE_ELEMS, scale * CHUNK_ELEMS
-    rows = _even(p, min(max(tile // m, TILE_MIN_ROWS), max(1, chunk // a)))
-    g = _even(m, max(1, tile // rows))
+    chunk = scale * CHUNK_ELEMS
+    rows = _even(p, min(max(scale * RUN_ELEMS // m, TILE_MIN_ROWS), max(1, chunk // a)))
+    g = _even(m, max(1, TILE_ELEMS // rows))
     return rows, g, _even(g, max(1, chunk // (a * rows)))
 
 
@@ -121,17 +131,18 @@ def _even(n: int, cap: int) -> int:
     return -(-n // parts)
 
 
-def _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg) -> np.ndarray:
+def _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg, scratch) -> np.ndarray:
     """The exact distances of `values[rows[i]]` to `sample_values[samples[i]]`:
     `feature_diffs(...).sum(axis=-1)` over the paired rows, the distance the
-    sequential reference uses.  Pairs are taken at most `CHUNK_ELEMS` diffs
-    at a time, and one buffer holds the paired rows and their diffs."""
+    sequential reference uses.  Pairs are taken as many at a time as the
+    flat float64 `scratch`, of at least 3a elements, holds three (pairs, a)
+    buffers of: the paired rows and their diffs."""
+    a = values.shape[1]
     out = np.empty(len(rows))
-    step = max(1, CHUNK_ELEMS // values.shape[1])
-    scratch = np.empty((3, min(step, len(rows)), values.shape[1]))
+    step = len(scratch) // (3 * a)
     for i in range(0, len(rows), step):
         j = slice(i, i + step)
-        x, y, diffs = scratch[:, : len(rows[j])]
+        x, y, diffs = scratch[: 3 * a * len(rows[j])].reshape(3, -1, a)
         np.take(values, rows[j], axis=0, out=x, mode="clip")
         np.take(sample_values, samples[j], axis=0, out=y, mode="clip")
         out[j] = feature_diffs(x, y, numeric_mask, ranges, cfg, diffs).sum(axis=-1)
@@ -304,9 +315,6 @@ class NeighborMatrix:
         values = block.values
         sample_values = np.asarray(sample_values, dtype=np.float64)
 
-        def exact(rows, samples):
-            return _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg)
-
         rows, g, width = tiling(p, m, a)
         bufsize = np.setbufsize(KERNEL_BUFSIZE)
         try:
@@ -315,7 +323,14 @@ class NeighborMatrix:
                 filt = _Filter(sample_values, numeric_mask, ranges, cfg)
                 planes = len(filt.planes)
                 tile, source = np.empty(g * rows), np.empty(planes * rows)
-                kernel = np.empty(planes * width * rows)
+                # the chunk's buffer is idle while a tile is selected, and
+                # holds the selection's scratch then
+                kernel = np.empty(max(planes * width * rows, g * rows, 3 * a))
+                keep = np.empty(g * rows, dtype=bool)
+
+                def exact(rows, samples):
+                    return _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg, kernel)
+
                 for r0 in range(0, p, rows):
                     r1 = min(r0 + rows, p)
                     run = r1 - r0
@@ -324,22 +339,25 @@ class NeighborMatrix:
                     for s0 in range(0, m, g):
                         s1 = min(s0 + g, m)
                         dist = tile[: (s1 - s0) * run].reshape(s1 - s0, run)
+                        mask = keep[: dist.size].reshape(dist.shape)
                         for q0 in range(s0, s1, width):
                             q1 = min(q0 + width, s1)
                             cells = (q1 - q0) * run
                             fm = kernel[: planes * cells].reshape(planes, q1 - q0, run)
                             filt.chunk(fm_rows, q0, q1, fm)
                             np.add.reduce(fm, axis=0, out=dist[q0 - s0 : q1 - s0])
-                        self._offer_tile(dist, slack, s0, r0, block, exact)
+                        self._offer_tile(dist, slack, s0, r0, block, exact, mask, kernel)
         finally:
             np.setbufsize(bufsize)
 
-    def _offer_tile(self, approx, slack, s0, r0, block, exact) -> None:
+    def _offer_tile(self, approx, slack, s0, r0, block, exact, keep, scratch) -> None:
         """Offer one tile's rows to their cells: column j of `approx` holds
         the approximate distances of the block's row `r0 + j` to the samples
         from `s0` on, each within `slack` of the exact one, and
         `exact(rows, samples)` gives the exact distances of paired block
-        rows and samples.
+        rows and samples.  `keep`, a bool array of `approx`'s shape, and
+        the flat float64 `scratch`, of at least `approx.size` elements, are
+        written over.
 
         A row can enter only its own class's cell, and only at or below the
         cell's last slot's distance.  The filter drops a pair only when it
@@ -351,23 +369,29 @@ class NeighborMatrix:
         that approximation plus `slack`).  Both tests are written
         `~(approx > limit)`, so a NaN or inf approximation goes on.  The
         survivors, less the samples' own rows found by id, go to `_insert`
-        with their exact distances.
+        with their exact distances, sorted by (cell, distance, id).
         """
         k, m = self.k, self.num_samples
         g, run = approx.shape
         labels = block.labels[r0 : r0 + run]
         # (samples, classes) last slots
-        bound = np.ascontiguousarray(self.dist[:, s0 : s0 + g, k - 1].T)
-        keep = ~(approx > np.take(bound + slack, labels, axis=1))
+        bound = self.dist[:, s0 : s0 + g, k - 1].T
+        limit = scratch[: approx.size].reshape(g, run)
+        np.take(bound + slack, labels, axis=1, out=limit, mode="clip")
+        np.greater(approx, limit, out=keep)
+        np.logical_not(keep, out=keep)
         if (bound == _MAX_DIST).any():
             # a cell that is not full yet takes any row of its class: cut at
             # the (k+1)-th first
             for label in np.flatnonzero((bound == _MAX_DIST).any(axis=0)):
                 cols = np.flatnonzero(labels == label)
                 if len(cols) > k + 1:
-                    near = approx[:, cols]
-                    kth = np.partition(near, k, axis=1)[:, k : k + 1]
-                    keep[:, cols] &= ~(near > kth + 2 * slack)
+                    near = scratch[: g * len(cols)].reshape(g, len(cols))
+                    np.take(approx, cols, axis=1, out=near, mode="clip")
+                    near.partition(k, axis=1)
+                    kth = near[:, k : k + 1] + 2 * slack
+                    np.take(approx, cols, axis=1, out=near, mode="clip")
+                    keep[:, cols] &= ~(near > kth)
         # one flat scan; `np.nonzero` on a 2-d mask costs over ten times more
         s_idx, at = np.divmod(np.flatnonzero(keep), run)
         other = block.ids[r0 + at] != self.sample_ids[s0 + s_idx]
@@ -376,50 +400,62 @@ class NeighborMatrix:
             return
         rows = r0 + at
         cell = labels[at] * m + s0 + s_idx
-        self._insert(cell, exact(rows, s0 + s_idx), block.ids[rows], block.values, rows)
+        d, ids = exact(rows, s0 + s_idx), block.ids[rows]
+        by_key = np.lexsort((ids, d, cell))
+        self._insert(cell[by_key], d[by_key], ids[by_key], block.values, rows[by_key])
 
     def _insert(self, cell, d, ids, source, rows) -> None:
         """Enter candidates into their cells, keeping each cell's k best:
         candidate i goes to flat cell `cell[i]` (class * m + sample) with
         exact distance `d[i]`, id `ids[i]` and row `source[rows[i]]`; no id
-        is offered twice to a cell or is already held by it.  Candidates not
-        below their cell's last slot, nor at it with a smaller id, are
-        dropped.  The rest are sorted with their cells' held entries by
-        (cell, distance, id), and each cell's first k are written back: held
-        rows move slot to slot, and each new row is copied once.
+        is offered twice to a cell or is already held by it.  Candidates
+        come in ascending (cell, distance, id) order: `_offer_tile` sorts
+        its pairs so, and a matrix's filled slots are in that order already.
+
+        Nothing is sorted here: held entries are in order in their cells.  A
+        candidate's slot is the number of its cell's held entries that come
+        before it plus its rank among its cell's candidates, and a held entry
+        moves up by the number of its cell's candidates that come before it.
+        What lands at slot k or past it is dropped: a candidate not below its
+        cell's last slot, nor at it with a smaller id, among them.  Held
+        entries that keep their slot are not written, and each new row is
+        copied once.
         """
         k = self.k
         to_d, to_i, to_v = self._slots()
-        last = cell * k + k - 1
-        # below the bound, or at it with a smaller id
-        live = (d < to_d[last]) | ((d == to_d[last]) & (ids < to_i[last]))
-        if not live.all():
-            cell, d, ids, rows = cell[live], d[live], ids[live], rows[live]
-        if not cell.size:
-            return
-        # the cells offered to: their held entries, then the candidates
-        touched, offered = np.unique(cell, return_counts=True)
-        n_held = self.count.reshape(-1)[touched]
-        held = (touched[:, None] * k + np.arange(k))[np.arange(k) < n_held[:, None]]
-        c_all = np.concatenate([np.repeat(touched, n_held), cell])
-        d_all = np.concatenate([to_d[held], d])
-        i_all = np.concatenate([to_i[held], ids])
-        by_key = np.lexsort((i_all, d_all, c_all))
-        c_sorted = c_all[by_key]
-        slot = np.arange(len(by_key)) - np.searchsorted(c_sorted, c_sorted)
-        top = slot < k
-        kept = by_key[top]
-        to = c_sorted[top] * k + slot[top]
-        to_d[to], to_i[to] = d_all[kept], i_all[kept]
-        # the right-hand side is gathered before any slot is written
-        moved = kept < len(held)
-        to_v[to[moved]] = to_v[held[kept[moved]]]
-        to_v[to[~moved]] = source[rows[kept[~moved] - len(held)]]
-        self.count.reshape(-1)[touched] = np.minimum(n_held + offered, k)
+        # each candidate's rank among its cell's, each cell's first
+        # candidate and the cell's candidate count
+        rank = np.arange(len(cell)) - cell.searchsorted(cell)
+        head = (rank == 0).nonzero()[0]
+        touched = cell[head]
+        offered = cell.searchsorted(touched, side="right") - head
+        # before[i, j]: slot j of candidate i's cell holds an entry that
+        # comes before it; an open slot's distance never does
+        held = self.dist.reshape(-1, k)[cell]
+        before, tie = held < d[:, None], held == d[:, None]
+        del held
+        tie &= self.ids.reshape(-1, k)[cell] < ids[:, None]
+        before |= tie
+        slot = before.sum(axis=1) + rank
+        # slot j of each cell offered to moves up by the candidates before it
+        shift = offered[:, None] - np.add.reduceat(before, head, axis=0, dtype=np.int64)
+        src = np.arange(k)
+        dst = src + shift
+        moved = (shift > 0) & (dst < k)
+        base = touched[:, None] * k
+        src, dst = (base + src)[moved], (base + dst)[moved]
+        # the right-hand sides are gathered before any slot is written
+        to_d[dst], to_i[dst], to_v[dst] = to_d[src], to_i[src], to_v[src]
+        placed = slot < k
+        to = (cell * k + slot)[placed]
+        to_d[to], to_i[to], to_v[to] = d[placed], ids[placed], source[rows[placed]]
+        count = self.count.reshape(-1)
+        count[touched] = np.minimum(count[touched] + offered, k)
 
     def merge(self, other: "NeighborMatrix") -> "NeighborMatrix":
         """Keep each cell's k best entries of the two matrices' union:
-        `other`'s filled slots are inserted as candidates."""
+        `other`'s filled slots, in (cell, distance, id) order, are inserted
+        as candidates."""
         d, ids, values = other._slots()
         filled = np.flatnonzero(other.filled())
         self._insert(filled // self.k, d[filled], ids[filled], values, filled)

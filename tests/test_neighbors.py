@@ -1,5 +1,7 @@
 """The dense neighbour matrix: selection order, merging, and wire format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,9 +232,9 @@ class TestOfferBlockSelection:
         "n, m, a",
         [
             # few samples: tall tiles, one sample per chunk, several row tiles
-            (neighbors.TILE_ELEMS * 5 // 4, 2, 5),
+            (neighbors.RUN_ELEMS * 5 // 4, 2, 5),
             # many samples: short tiles, several sample groups, the last partial
-            (4096, 37, 3),
+            (4096, 131, 3),
             # a block just over LARGE_BLOCK_ELEMS: the larger tiles and chunks
             (neighbors.LARGE_BLOCK_ELEMS // 21 + 1, 3, 21),
         ],
@@ -324,15 +326,15 @@ class TestAllClassSelection:
 
     K = 4
 
-    def case(self, c, style="plain"):
-        """Two blocks of two row tiles each against three sample groups:
-        three levels per feature and duplicated rows (ties at the k-th
+    def case(self, c, style="plain", m=40):
+        """Two blocks of two row tiles each against m samples: three levels
+        per feature and duplicated rows (ties at the k-th
         distance), samples inside the first block and one outside, and for
         c > 1 a class with fewer than k rows in the first tile.  `style`
         moves the values to one of the filter's hard cases (`styled`); the
         last item is the ramp that the style needs, or None."""
         rng = np.random.default_rng(c)
-        n, m, a = 8000, 40, 3
+        n, a = 8000, 3
         values = rng.integers(0, 3, size=(n, a)).astype(np.float64)
         values[rng.integers(0, n, size=300)] = values[7]
         mask = np.array([True, True, False])
@@ -355,11 +357,12 @@ class TestAllClassSelection:
         + [pytest.param(3, style, cfg, id=f"3-{name}") for (style, cfg), name in zip(FILTER_CASES, FILTER_IDS)],
     )
     def test_matches_full_sort_fresh_and_carried(self, c, style, cfg):
-        block, sample_ids, sample_values, mask, ranges, style_cfg = self.case(c, style)
+        block, sample_ids, sample_values, mask, ranges, style_cfg = self.case(c, style, m=140)
         k, cfg = self.K, style_cfg or cfg
         first, second = block.slice(0, 4000), block.slice(4000, 8000)
         rows, g, _ = neighbors.tiling(len(first), len(sample_ids), 3)
         assert rows <= 2500 < len(first) and g < len(sample_ids)  # several tiles and groups
+        assert len(sample_ids) % g, "the last sample group should be partial"
         if c > 1:
             assert np.count_nonzero(first.labels[:rows] == c - 1) < k
         nn = NeighborMatrix(c, sample_ids, k, 3)
@@ -390,19 +393,44 @@ class TestAllClassSelection:
             e, x = np.take_along_axis(exact, order, 1), np.take_along_axis(approx, order, 1)
             assert ((e[:, 1:] == e[:, :-1]) & (x[:, 1:] != x[:, :-1])).any()
 
-    def test_one_lexsort_per_tile_and_sample_group(self, monkeypatch):
+    def test_lexsort_sees_only_candidates(self, monkeypatch):
+        # cells are written by position: the only sort is of a tile's
+        # candidates, never of the entries its cells hold, and a merge sorts
+        # nothing
         c = 4
         block, sample_ids, sample_values, mask, ranges, _ = self.case(c)
-        part = block.slice(0, 2000)
-        rows, g, _ = neighbors.tiling(len(part), len(sample_ids), 3)
-        assert rows == len(part) and set(part.labels.tolist()) == set(range(c))
-        sorts = []
-        lexsort = np.lexsort
-        monkeypatch.setattr(np, "lexsort", lambda keys, **kw: sorts.append(len(keys)) or lexsort(keys, **kw))
-        nn = NeighborMatrix(c, sample_ids, self.K, 3)
-        nn.offer_block(part, sample_values, mask, ranges, DiffConfig())
-        # one row tile: one sort per sample group, not one per class as well
-        assert len(sorts) == -(-len(sample_ids) // g) == 3
+        offered, sorted_ = [], []
+        insert, lexsort = NeighborMatrix._insert, np.lexsort
+
+        def counting_insert(nn, cell, *args):
+            offered.append(len(cell))
+            return insert(nn, cell, *args)
+
+        monkeypatch.setattr(NeighborMatrix, "_insert", counting_insert)
+        monkeypatch.setattr(np, "lexsort", lambda keys, **kw: sorted_.append(len(keys[0])) or lexsort(keys, **kw))
+        halves = []
+        for part in (block.slice(0, 4000), block.slice(4000, 8000)):
+            nn = NeighborMatrix(c, sample_ids, self.K, 3)
+            nn.offer_block(part, sample_values, mask, ranges, DiffConfig())
+            halves.append(nn)
+        assert (halves[0].count == self.K).all()  # later tiles met full cells
+        assert sorted_ == offered and len(offered) > 2
+        halves[0].merge(halves[1])
+        assert len(sorted_) == len(offered) - 1
+
+
+class TestTiling:
+    def test_criterion_5_partition(self):
+        # the acceptance gate's partition (1M x 20, four workers, m = 10)
+        # keeps the larger chunk of a block over LARGE_BLOCK_ELEMS
+        assert neighbors.tiling(250_000, 10, 20) == (12_500, 10, 2)
+
+    @pytest.mark.parametrize("p, m, a, groups", [(12_500, 100, 20, 2), (1_250, 400, 30, 4), (250_000, 10, 20, 1)])
+    def test_one_tile_cap_for_every_block(self, p, m, a, groups):
+        # small and large blocks alike: a tile of at most TILE_ELEMS, in as
+        # few sample groups as that allows
+        rows, g, _ = neighbors.tiling(p, m, a)
+        assert g * rows <= neighbors.TILE_ELEMS and -(-m // g) == groups
 
 
 class TestMatrixFillAndMerge:
@@ -429,6 +457,182 @@ class TestMatrixFillAndMerge:
         want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k)
         assert grid_entries(fill(block)) == want
         assert grid_entries(parts[0]) == want
+
+
+# few distances, so that candidates tie with held entries and with each other
+LEVELS = (0.0, 0.25, 0.5)
+
+
+def row_of(ids):
+    """The row stored with each id, unique to it, so that a row that lands
+    in the wrong slot shows."""
+    ids = np.asarray(ids, dtype=np.float64)
+    return np.stack([ids, -0.5 * ids], axis=-1)
+
+
+def holding(c, m, k, cells):
+    """A (c, m, k) matrix of two features whose flat cell i holds the k
+    smallest (distance, id) of `cells[i]`, each with its `row_of` row."""
+    nn = NeighborMatrix(c, np.arange(m) + 10**6, k, 2)
+    for flat, entries in enumerate(cells):
+        kept = sorted(entries)[:k]
+        if kept:
+            at = (*divmod(flat, m), slice(0, len(kept)))
+            nn.dist[at], nn.ids[at] = zip(*kept)
+            nn.values[at] = row_of(nn.ids[at])
+            nn.count[at[:2]] = len(kept)
+    return nn
+
+
+@st.composite
+def held_and_offered(draw):
+    """Per flat cell of a (c, m, k) matrix: the sorted entries it holds, any
+    number from none to k, and entries offered to it, any number, with
+    distances from `LEVELS` and ids unique within the cell."""
+    k, c, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    held, offered = [], []
+    for _ in range(c * m):
+        ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=2 * k + 3))
+        entries = [(draw(st.sampled_from(LEVELS)), i) for i in ids]
+        n_held = draw(st.integers(0, min(k, len(entries))))
+        held.append(sorted(entries[:n_held]))
+        offered.append(entries[n_held:])
+    return k, c, m, held, offered
+
+
+def insert_sorted(nn, offered):
+    """`_insert` every entry of `offered` (one list per flat cell), in the
+    (cell, distance, id) order it takes its candidates in."""
+    cand = sorted((cell, d, i) for cell, entries in enumerate(offered) for d, i in entries)
+    cell = np.array([x[0] for x in cand], dtype=np.int64)
+    d = np.array([x[1] for x in cand], dtype=np.float64)
+    ids = np.array([x[2] for x in cand], dtype=np.int64)
+    nn._insert(cell, d, ids, row_of(ids), np.arange(len(cand)))
+
+
+class TestInsertByPosition:
+    """`_insert` places candidates into sorted cells by position; each case
+    is checked against a full per-cell sort of held and offered entries."""
+
+    @given(case=held_and_offered())
+    @settings(max_examples=300, deadline=None)
+    def test_insert_equals_full_sort_per_cell(self, case):
+        k, c, m, held, offered = case
+        nn = holding(c, m, k, held)
+        insert_sorted(nn, offered)
+        assert same_matrix(nn, holding(c, m, k, [h + o for h, o in zip(held, offered)]))
+
+    @given(case=held_and_offered())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_full_sort_per_cell(self, case):
+        k, c, m, held, offered = case
+        nn, other = holding(c, m, k, held), holding(c, m, k, offered)
+        assert nn.merge(other) is nn
+        assert same_matrix(nn, holding(c, m, k, [h + o for h, o in zip(held, offered)]))
+
+    @pytest.mark.parametrize(
+        "k, held, offered",
+        [
+            # ties at the held entries' distance: a smaller id goes before
+            # them, a larger one after, and what passes slot k drops
+            (3, [(0.25, 4), (0.5, 8)], [(0.25, 2), (0.25, 6), (0.5, 9), (0.5, 7)]),
+            # several candidates before, between and past full cells' entries
+            (3, [(0.0, 5), (0.25, 5), (0.5, 5)], [(0.0, 1), (0.0, 9), (0.25, 1), (0.5, 1), (0.5, 9)]),
+            # an empty cell, and one offered more than it can hold
+            (2, [], [(0.5, 3), (0.25, 3), (0.25, 1), (0.0, 8)]),
+            # k = 1: only a smaller distance, or the same with a smaller id, replaces
+            (1, [(0.25, 5)], [(0.25, 6), (0.5, 0)]),
+            (1, [(0.25, 5)], [(0.25, 4)]),
+        ],
+    )
+    def test_hand_cases(self, k, held, offered):
+        # two cells, so that each case also runs beside a cell left alone
+        cells = [held, [(0.0, 100)]]
+        nn = holding(1, 2, k, cells)
+        insert_sorted(nn, [offered, []])
+        want = holding(1, 2, k, [held + offered, [(0.0, 100)]])
+        assert same_matrix(nn, want)
+        assert nn.count[0, 0] == min(k, len(held) + len(offered))
+
+
+class TestScratchMemory:
+    """tracemalloc peaks of one `offer_block` on a fresh matrix and of one
+    `merge`, against bounds derived from the scratch caps.
+
+    `offer_block` holds a tile and a keep mask of g x rows, the run's
+    feature-major copy of a x rows, the kernel chunk's buffer, which also
+    holds the selection's scratch, the filter's scaled samples (a x m), and
+    bool temporaries of the k-th cut no larger than a tile.  A fresh tile
+    passes k + 1 rows per (sample, class) cell where no approximations tie,
+    as in these cases.  A pair holds its row, a (pairs, k) distance gather
+    and two (pairs, k) masks, and at most 160 bytes of indices, keys and
+    distances.  A merge of two full c x m x k matrices inserts n = c·m·k
+    candidates; each slot is written at most once, by a held entry moving up
+    or by a candidate, and one of the two row gathers is alive at a time, so
+    rows are at most n·a floats, and indices at most 150 bytes per
+    candidate.
+    """
+
+    PAIR_BYTES = 160  # a pair's indices, keys and distances
+    MERGE_BYTES = 150  # a merge candidate's indices, keys and distances
+
+    def peak(self, call) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def offer_bound(self, p, m, a, c, k):
+        rows, g, width = neighbors.tiling(p, m, a)
+        tile = g * rows
+        floats = tile + a * rows + max(a * width * rows, tile, 3 * a) + a * m
+        pairs = c * g * (k + 1)
+        return 8 * floats + 4 * tile + pairs * (8 * a + 10 * k + self.PAIR_BYTES)
+
+    @pytest.mark.parametrize(
+        "p, m, num, nom, c, cfg",
+        [
+            # local_rank's partition: all numeric, linear
+            (12_500, 100, 20, 0, 2, DiffConfig()),
+            # cluster_rank's: mixed, ramp, five classes, one row tile
+            (1_250, 400, 20, 10, 5, DiffConfig(DiffMode.RAMP, t_eq=0.05, t_diff=0.1)),
+        ],
+        ids=["local_rank", "cluster_rank"],
+    )
+    def test_offer_block_peak(self, p, m, num, nom, c, cfg):
+        rng = np.random.default_rng(p)
+        a, k = num + nom, 10
+        mask = np.array([True] * num + [False] * nom)
+
+        def draw(n):
+            return np.concatenate([rng.normal(size=(n, num)), rng.integers(0, 4, size=(n, nom))], axis=1)
+
+        block = InstanceBlock(np.arange(p), rng.integers(0, c, size=p), draw(p))
+        sample_values = draw(m)
+        ranges = FeatureRange(np.full(a, -5.0), np.full(a, 5.0), mask)
+        nn = NeighborMatrix(c, np.arange(m) + p, k, a)
+        peak = self.peak(lambda: nn.offer_block(block, sample_values, mask, ranges, cfg))
+        assert (nn.count == k).all()
+        assert peak <= self.offer_bound(p, m, a, c, k)
+
+    def test_merge_peak(self):
+        c, m, k, a = 5, 400, 10, 30
+        rng = np.random.default_rng(1)
+
+        def full():
+            nn = NeighborMatrix(c, np.arange(m), k, a)
+            nn.dist[:] = np.sort(rng.random((c, m, k)), axis=-1)
+            nn.ids[:] = rng.permutation(3 * c * m * k)[: c * m * k].reshape(c, m, k)
+            nn.values[:] = rng.random(nn.values.shape)
+            nn.count[:] = k
+            return nn
+
+        nn, other = full(), full()
+        n = c * m * k
+        assert self.peak(lambda: nn.merge(other)) <= n * (8 * a + self.MERGE_BYTES)
 
 
 def encoded(inputs):
