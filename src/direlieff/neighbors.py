@@ -55,7 +55,9 @@ that come before it plus its rank among its cell's candidates, held entries
 move up by the candidates placed before them, and what passes slot k
 drops.  Only candidates are sorted: a tile's refined pairs by one `lexsort`
 per (tile, sample group) for all classes, while the filled slots of a
-matrix being merged are in that order already.
+matrix being merged are in that order already.  They are placed in slices
+of a bounded size, so that neither a large tile nor a merge grows the
+placement's scratch.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ __all__ = ["NeighborMatrix", "tiling"]
 # whatever the tile's size, so threads running partitions in parallel
 # scale better with large tiles; the selection's own scratch lives in the
 # kernel chunk's buffer, idle between sample groups, so a larger tile adds
-# only the tile.  Each kernel chunk costs a few GIL round trips too, but a
-# chunk larger than the core's cache slows each pass.
+# only the tile and its keep mask, and `_insert` places candidates in
+# bounded slices (`INSERT_ELEMS`).  Each kernel chunk costs a few GIL round
+# trips too, but a chunk larger than the core's cache slows each pass.
 TILE_ELEMS = 1 << 17
 CHUNK_ELEMS = 1 << 17
 # Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get chunks
@@ -92,6 +95,12 @@ LARGE_SCALE = 4
 # that a tile's selection covers many rows, but a run's feature-major copy
 # grows with it.
 RUN_ELEMS = 1 << 15
+# `NeighborMatrix._insert` places candidates in as few equal slices of at
+# most `INSERT_ELEMS // (k + a)` as they fit, so that its (candidates, k)
+# comparisons and its gathers of rows, (candidates, a), stay the size of a
+# small tile: a tile on a fresh matrix passes about k + 1 rows per cell, a
+# larger tile more cells, and a merge offers every filled slot.
+INSERT_ELEMS = 1 << 15
 # Rows a tile takes at least, while the block has them (about: tiles split
 # a block evenly): every kernel pass loops over a tile's rows innermost.
 TILE_MIN_ROWS = 2048
@@ -368,8 +377,10 @@ class NeighborMatrix:
         nearest may be the sample's own row, so k others are exactly within
         that approximation plus `slack`).  Both tests are written
         `~(approx > limit)`, so a NaN or inf approximation goes on.  The
-        survivors, less the samples' own rows found by id, go to `_insert`
-        with their exact distances, sorted by (cell, distance, id).
+        survivors, less the samples' own rows found by id and the pairs
+        whose exact distance is not below an open slot's (NaN among them),
+        go to `_insert` with their exact distances, sorted by (cell,
+        distance, id).
         """
         k, m = self.k, self.num_samples
         g, run = approx.shape
@@ -386,6 +397,9 @@ class NeighborMatrix:
             for label in np.flatnonzero((bound == _MAX_DIST).any(axis=0)):
                 cols = np.flatnonzero(labels == label)
                 if len(cols) > k + 1:
+                    # in the scratch, and so gathered twice: a copy of the
+                    # class's columns, with `np.partition`'s own, would take
+                    # up to two tiles on a fresh matrix
                     near = scratch[: g * len(cols)].reshape(g, len(cols))
                     np.take(approx, cols, axis=1, out=near, mode="clip")
                     near.partition(k, axis=1)
@@ -402,6 +416,7 @@ class NeighborMatrix:
         cell = labels[at] * m + s0 + s_idx
         d, ids = exact(rows, s0 + s_idx), block.ids[rows]
         by_key = np.lexsort((ids, d, cell))
+        by_key = by_key[d[by_key] < _MAX_DIST]
         self._insert(cell[by_key], d[by_key], ids[by_key], block.values, rows[by_key])
 
     def _insert(self, cell, d, ids, source, rows) -> None:
@@ -410,7 +425,21 @@ class NeighborMatrix:
         exact distance `d[i]`, id `ids[i]` and row `source[rows[i]]`; no id
         is offered twice to a cell or is already held by it.  Candidates
         come in ascending (cell, distance, id) order: `_offer_tile` sorts
-        its pairs so, and a matrix's filled slots are in that order already.
+        its pairs so, and a matrix's filled slots are in that order already;
+        each distance is below `_MAX_DIST`, an open slot's.  They are placed
+        in as few equal slices of at most `INSERT_ELEMS // (k + a)` as they
+        fit: a cell that two slices share holds the first slice's
+        candidates when the second comes, and they all come before the
+        second's.
+        """
+        if len(cell):
+            step = _even(len(cell), max(1, INSERT_ELEMS // (self.k + self.values.shape[3])))
+            for i in range(0, len(cell), step):
+                j = slice(i, i + step)
+                self._place(cell[j], d[j], ids[j], source, rows[j])
+
+    def _place(self, cell, d, ids, source, rows) -> None:
+        """`_insert` one slice of candidates.
 
         Nothing is sorted here: held entries are in order in their cells.  A
         candidate's slot is the number of its cell's held entries that come
@@ -478,8 +507,9 @@ class NeighborMatrix:
     def decode(cls, buf: bytes, sample_ids, num_classes: int, k: int, num_features: int) -> "NeighborMatrix":
         """The matrix `encode` wrote, for the expected classes, samples, k
         and features; ValueError on any other shape, a count outside [0, k],
-        a length that does not match the counts, a distance that is not
-        finite, or a cell out of ascending (distance, id) order."""
+        a length that does not match the counts, a distance not below an
+        open slot's (NaN too), or a cell out of ascending (distance, id)
+        order."""
         # entries as views of `buf`: a native copy first raises the driver's peak RSS
         head, count, dist, ids, values = unpack(buf, np.int64, np.int64, ">f8", ">i8", ">f8")
         want = [num_classes, len(sample_ids), k, num_features]
@@ -497,6 +527,6 @@ class NeighborMatrix:
         out.values[held] = values.reshape(n, num_features)
         d, i = out.dist, out.ids
         ordered = (d[..., :-1] < d[..., 1:]) | ((d[..., :-1] == d[..., 1:]) & (i[..., :-1] < i[..., 1:]))
-        if not np.isfinite(d[held]).all() or (held[..., 1:] & ~ordered).any():
-            raise ValueError("neighbour matrix has a distance not finite or not in ascending (distance, id) order")
+        if not (d[held] < _MAX_DIST).all() or (held[..., 1:] & ~ordered).any():
+            raise ValueError("neighbour matrix has a distance not below an open slot's or out of ascending order")
         return out

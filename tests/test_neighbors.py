@@ -1,5 +1,6 @@
 """The dense neighbour matrix: selection order, merging, and wire format."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,18 @@ def offers(entries, k=3):
 
 def keys(nn):
     return [(d, i) for d, i, _, _ in grid_entries(nn)[0][0]]
+
+
+@contextlib.contextmanager
+def slices_of(per_slice, k, a=2):
+    """`_insert` into a matrix of k slots and a features places at most
+    `per_slice` candidates at a time; None keeps `INSERT_ELEMS`."""
+    cap = neighbors.INSERT_ELEMS
+    neighbors.INSERT_ELEMS = cap if per_slice is None else per_slice * (k + a)
+    try:
+        yield
+    finally:
+        neighbors.INSERT_ELEMS = cap
 
 
 class TestCellOrder:
@@ -219,12 +232,13 @@ def neighbor_inputs(draw):
 
 
 class TestOfferBlockSelection:
-    @given(inputs=neighbor_inputs())
+    @given(inputs=neighbor_inputs(), per_slice=st.none() | st.integers(1, 5))
     @settings(max_examples=300, deadline=None)
-    def test_block_path_equals_instance_path_bit_for_bit(self, inputs):
+    def test_block_path_equals_instance_path_bit_for_bit(self, inputs, per_slice):
         block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k = inputs
         via_block = NeighborMatrix(num_classes, sample_ids, k, len(mask))
-        via_block.offer_block(block, sample_values, mask, ranges, cfg)
+        with slices_of(per_slice, k, len(mask)):
+            via_block.offer_block(block, sample_values, mask, ranges, cfg)
         want = brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num_classes, k)
         assert grid_entries(via_block) == want
 
@@ -292,6 +306,41 @@ class TestOfferBlockSelection:
         nn.offer_block(block, values[1:], mask, ranges, DiffConfig())
         want = brute_force_entries(block, [9], values[1:], mask, ranges, DiffConfig(), 1, 1)
         assert grid_entries(nn) == want
+
+    def test_nan_distances_enter_no_cell(self):
+        # a column whose range spans -1e308 to 1e308 has an infinite width:
+        # it gets no filter plane, and the exact diff of values of opposite
+        # sign there is inf / inf = NaN.  The first block is 0 in that column
+        # and fills every cell of the first classes; the second is +-1e308,
+        # so that its pairs of opposite sign pass the filter against full
+        # cells and must enter none.  The last class has three rows, all
+        # positive, and leaves the cells of the negative samples open.
+        rng = np.random.default_rng(5)
+        n, m, a, c, k = 1500, 140, 3, 3, 4
+        first, second = rng.normal(size=(n, a)), rng.normal(size=(n, a))
+        first[:, 0] = 0.0
+        second[:, 0] = rng.choice([1e308, -1e308], size=n)
+        labels = rng.integers(0, c - 1, size=2 * n)
+        labels[[n, n + 1, n + 2]] = c - 1
+        second[:3, 0] = 1e308
+        block = InstanceBlock(rng.permutation(2 * n).astype(np.int64), labels, np.concatenate([first, second]))
+        sample_values = rng.normal(size=(m, a))
+        sample_values[:, 0] = rng.choice([1e308, -1e308], size=m)
+        sample_ids, mask = np.arange(m) + 2 * n, np.ones(a, dtype=bool)
+        assert neighbors.tiling(n, m, a)[1] < m  # two sample groups
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranges = FeatureRange(np.array([-1e308, -5, -5]), np.array([1e308, 5, 5]), mask)
+            ranked = brute_force_entries(block, sample_ids, sample_values, mask, ranges, DiffConfig(), c, 2 * n)
+        assert any(np.isnan(e[0]) for row in ranked for cell in row for e in cell)
+        nn = NeighborMatrix(c, sample_ids, k, a)
+        nn.offer_block(block.slice(0, n), sample_values, mask, ranges, DiffConfig())
+        assert (nn.count[: c - 1] == k).all()
+        nn.offer_block(block.slice(n, 2 * n), sample_values, mask, ranges, DiffConfig())
+        want = [[[e for e in cell if not np.isnan(e[0])][:k] for cell in row] for row in ranked]
+        assert grid_entries(nn) == want
+        assert (nn.count[c - 1] == 0).any() and (nn.count[c - 1] == 3).any()
+        # a worker's matrix decodes, as the driver needs
+        assert same_matrix(NeighborMatrix.decode(nn.encode(), sample_ids, c, k, a), nn)
 
 
 def approximate(block, sample_values, mask, ranges, cfg):
@@ -514,20 +563,26 @@ class TestInsertByPosition:
     """`_insert` places candidates into sorted cells by position; each case
     is checked against a full per-cell sort of held and offered entries."""
 
-    @given(case=held_and_offered())
+    # candidates placed all at once, or a few at a time, so that slices
+    # split cells
+    PER_SLICE = st.none() | st.integers(1, 5)
+
+    @given(case=held_and_offered(), per_slice=PER_SLICE)
     @settings(max_examples=300, deadline=None)
-    def test_insert_equals_full_sort_per_cell(self, case):
+    def test_insert_equals_full_sort_per_cell(self, case, per_slice):
         k, c, m, held, offered = case
         nn = holding(c, m, k, held)
-        insert_sorted(nn, offered)
+        with slices_of(per_slice, k):
+            insert_sorted(nn, offered)
         assert same_matrix(nn, holding(c, m, k, [h + o for h, o in zip(held, offered)]))
 
-    @given(case=held_and_offered())
+    @given(case=held_and_offered(), per_slice=PER_SLICE)
     @settings(max_examples=300, deadline=None)
-    def test_merge_equals_full_sort_per_cell(self, case):
+    def test_merge_equals_full_sort_per_cell(self, case, per_slice):
         k, c, m, held, offered = case
         nn, other = holding(c, m, k, held), holding(c, m, k, offered)
-        assert nn.merge(other) is nn
+        with slices_of(per_slice, k):
+            assert nn.merge(other) is nn
         assert same_matrix(nn, holding(c, m, k, [h + o for h, o in zip(held, offered)]))
 
     @pytest.mark.parametrize(
@@ -557,24 +612,51 @@ class TestInsertByPosition:
 
 class TestScratchMemory:
     """tracemalloc peaks of one `offer_block` on a fresh matrix and of one
-    `merge`, against bounds derived from the scratch caps.
+    `merge`, against bounds counted from the arrays the code allocates at
+    the sizes that `tiling` and `INSERT_ELEMS` set: 8 bytes an int64 or
+    float64 element, 1 a bool.
 
-    `offer_block` holds a tile and a keep mask of g x rows, the run's
-    feature-major copy of a x rows, the kernel chunk's buffer, which also
-    holds the selection's scratch, the filter's scaled samples (a x m), and
-    bool temporaries of the k-th cut no larger than a tile.  A fresh tile
-    passes k + 1 rows per (sample, class) cell where no approximations tie,
-    as in these cases.  A pair holds its row, a (pairs, k) distance gather
-    and two (pairs, k) masks, and at most 160 bytes of indices, keys and
-    distances.  A merge of two full c x m x k matrices inserts n = c·m·k
-    candidates; each slot is written at most once, by a held entry moving up
-    or by a candidate, and one of the two row gathers is alive at a time, so
-    rows are at most n·a floats, and indices at most 150 bytes per
-    candidate.
+    For a whole block `offer_block` holds the tile (g x rows floats) and
+    its keep mask (g x rows bools), the run's feature-major copy (a x rows),
+    the kernel chunk's buffer (the larger of a x width x rows and the tile)
+    and the filter's scaled samples (a x m).  On top of these, the larger
+    of:
+
+    - the k-th cut's bool arrays over a class's columns (`near > kth`, its
+      negation, and the gather of `keep`), at most three tiles of bools,
+      and the columns' indices and mask, 9 bytes a row;
+    - a tile's P pairs: eleven int64 or float64 arrays and one mask of P at
+      most alive at once in `_offer_tile` (each pair's sample, row, block
+      row, cell, exact distance and id, the sort order and its four
+      gathers); the exact refine's nominal compare, for a step of pairs
+      that fills the kernel buffer three times a, two float gathers and one
+      mask per nominal feature, and the step's sums; and one `_place`.
+
+    `_place` of S candidates, in at most T <= S cells, holds at most ten
+    int64 or float64 arrays and two masks of S (ranks, cell heads, cells,
+    counts, slots and their sums, flat slots, and the placed candidates'
+    distances, ids and source rows), their rows (S x a floats), 11 bytes
+    a (candidate, slot) for the (S, k) gather and compare of distances or
+    ids beside two masks, or those masks and 25 bytes a (cell, slot) for the
+    (T, k) shifts, destinations, move mask and one flat index temporary;
+    and, for each of the M held entries that move up, a flat source and
+    destination, a distance, an id and a row.  A held entry moves only in a
+    cell that holds entries, at most k - 1 of them.  In a tile of the first
+    run on a fresh matrix, every tile of a one-run block, no cell holds any;
+    when two slices share a cell, the second's candidates all come after
+    the first's.  So M = 0 there, and otherwise M <= (k - 1) x min(S, cells
+    of the tile).
+
+    A tile on a fresh matrix passes k + 1 rows per (sample, class) cell when
+    no approximations tie, as in these cases, and on rows drawn
+    independently a later run passes about as many: about k of its rows
+    fall below a full cell's k-th distance.
     """
 
-    PAIR_BYTES = 160  # a pair's indices, keys and distances
-    MERGE_BYTES = 150  # a merge candidate's indices, keys and distances
+    PAIR_BYTES = 11 * 8 + 1
+    CANDIDATE_BYTES = 10 * 8 + 2  # and 8a for the row
+    CANDIDATE_SLOT_BYTES = 2 + 25  # two masks and the (cells, k) arrays, cells <= candidates
+    MOVED_BYTES = 4 * 8  # and 8a for the row
 
     def peak(self, call) -> int:
         tracemalloc.start()
@@ -585,12 +667,21 @@ class TestScratchMemory:
         finally:
             tracemalloc.stop()
 
-    def offer_bound(self, p, m, a, c, k):
+    def place_bytes(self, s, moved, k, a):
+        """`_place`'s arrays for s candidates of which `moved` held entries move up."""
+        return s * (self.CANDIDATE_BYTES + self.CANDIDATE_SLOT_BYTES * k + 8 * a) + moved * (self.MOVED_BYTES + 8 * a)
+
+    def offer_bound(self, p, m, a, nom, c, k):
         rows, g, width = neighbors.tiling(p, m, a)
         tile = g * rows
-        floats = tile + a * rows + max(a * width * rows, tile, 3 * a) + a * m
+        kernel = max(a * width * rows, tile, 3 * a)
+        block = 8 * (tile + a * rows + kernel + a * m) + tile
+        cut = 3 * tile + 9 * rows
         pairs = c * g * (k + 1)
-        return 8 * floats + 4 * tile + pairs * (8 * a + 10 * k + self.PAIR_BYTES)
+        refine = min(pairs, kernel // (3 * a)) * (17 * nom + 8)
+        s = neighbors._even(pairs, neighbors.INSERT_ELEMS // (k + a))
+        moved = (k - 1) * min(s, c * g) if p > rows else 0
+        return block + max(cut, pairs * self.PAIR_BYTES + refine + self.place_bytes(s, moved, k, a))
 
     @pytest.mark.parametrize(
         "p, m, num, nom, c, cfg",
@@ -616,7 +707,7 @@ class TestScratchMemory:
         nn = NeighborMatrix(c, np.arange(m) + p, k, a)
         peak = self.peak(lambda: nn.offer_block(block, sample_values, mask, ranges, cfg))
         assert (nn.count == k).all()
-        assert peak <= self.offer_bound(p, m, a, c, k)
+        assert peak <= self.offer_bound(p, m, a, nom, c, k)
 
     def test_merge_peak(self):
         c, m, k, a = 5, 400, 10, 30
@@ -631,8 +722,13 @@ class TestScratchMemory:
             return nn
 
         nn, other = full(), full()
+        # `merge` holds other's n filled slots, their cells, distances and
+        # ids, and one `_place`; each cell takes k candidates, so a slice
+        # spans at most s // k + 1 cells
         n = c * m * k
-        assert self.peak(lambda: nn.merge(other)) <= n * (8 * a + self.MERGE_BYTES)
+        s = neighbors._even(n, neighbors.INSERT_ELEMS // (k + a))
+        place = self.place_bytes(s, (k - 1) * (s // k + 1), k, a)
+        assert self.peak(lambda: nn.merge(other)) <= n * (4 * 8 + 1) + place
 
 
 def encoded(inputs):
@@ -699,6 +795,7 @@ class TestMatrixDecode:
             ([0.1, 0.1], [1, 1]),
             ([np.nan, 0.1], [1, 2]),
             ([0.1, np.inf], [1, 2]),
+            ([0.1, np.finfo(np.float64).max], [1, 2]),  # an open slot's distance
         ],
     )
     def test_cell_out_of_order_rejected(self, dist, ids):
