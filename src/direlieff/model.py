@@ -216,11 +216,15 @@ class FeatureRange:
     Stores length-a arrays with NaN in nominal slots.  `safe_width` is the
     division-ready interval: +inf where the interval is degenerate or the
     feature is nominal, so `|x-y| / safe_width` is 0 exactly in both cases.
+    A numeric interval wider than the largest float64, such as [-1e308,
+    1e308], is an error: its width would be +inf, and the diff of two
+    values of opposite sign inf / inf = NaN.  `names`, if given, name the
+    features in that error.
     """
 
     __slots__ = ("mins", "maxs", "safe_width")
 
-    def __init__(self, mins: np.ndarray, maxs: np.ndarray, numeric_mask: np.ndarray):
+    def __init__(self, mins: np.ndarray, maxs: np.ndarray, numeric_mask: np.ndarray, names=None):
         mins = np.asarray(mins, dtype=np.float64).copy()
         maxs = np.asarray(maxs, dtype=np.float64).copy()
         if mins.shape != maxs.shape or mins.shape != numeric_mask.shape:
@@ -229,7 +233,15 @@ class FeatureRange:
             raise ModelError("range min exceeds max")
         mins[~numeric_mask] = np.nan
         maxs[~numeric_mask] = np.nan
-        width = maxs - mins
+        with np.errstate(over="ignore"):
+            width = maxs - mins
+        overflow = np.flatnonzero(numeric_mask & np.isinf(width))
+        if len(overflow):
+            j = int(overflow[0])
+            name = repr(names[j]) if names is not None else str(j)
+            raise ModelError(
+                f"feature {name} ranges from {float(mins[j])!r} to {float(maxs[j])!r}, a width beyond the largest float64"
+            )
         safe = np.full(mins.shape, np.inf)
         usable = numeric_mask & (width > 0)
         safe[usable] = width[usable]

@@ -12,22 +12,28 @@ instance blocks by `offer_block` and merged across partitions.
 A block is filled by filter, then refine.  A tile holds approximate
 distances from a group of samples to a run of the block's rows, each within
 a proven `slack` of the exact one (`_Filter`), and they serve only to drop
-the pairs that cannot enter any cell.  The approximation divides nothing
-per element: each feature's divisions move onto one scale per feature, the
-samples are scaled once per block, and a tile's rows once as they are
-copied feature-major, (features, rows), so that every later pass reads and
-writes whole contiguous rows of one feature.  A kernel chunk, a few samples
-against the whole run, is then a subtraction, an absolute value and, under
-the ramp, a shift and a clip, each one numpy call over all numeric
-features; nominal features are compared with `!=`.  One `np.add.reduce`
-over the feature axis adds the chunk's planes into the tile, plane after
-plane; the slack holds for any order of the sum.  No call is made per
-feature: one call per feature would hold the GIL so often that threads
-running partitions in parallel stop scaling.  Every call still takes the
-GIL briefly, which is why chunks are large.
+the pairs that cannot enter any cell.  They are float32, half the bytes of
+float64 for every pass of the kernel, unless the slack that float32 allows
+would be too wide to filter, as under a very narrow ramp band; the class
+limits and the k-th cut they are compared with are float32 too, rounded up.
+The approximation divides nothing per element: each feature's divisions
+move onto one scale per feature, the samples are scaled once per block, and
+a tile's rows once as they are copied feature-major, (features, rows), so
+that every later pass reads and writes whole contiguous rows of one
+feature.  Numeric values are centred on their range's minimum before they
+are rounded to float32, so that an offset does not cost them precision.  A
+kernel chunk, a few samples against the whole run, is then a subtraction,
+an absolute value and, under the ramp, a shift and a clip, each one numpy
+call over all numeric features; nominal features are compared with `!=`,
+from float64 copies.  One `np.add.reduce` over the feature axis adds the
+chunk's planes into the tile, plane after plane; the slack holds for any
+order of the sum.  No call is made per feature: one call per feature would
+hold the GIL so often that threads running partitions in parallel stop
+scaling.  Every call still takes the GIL briefly, which is why chunks are
+large.
 
-The exact distance of every pair that passes is then computed by
-`feature_diffs(...).sum(axis=-1)` over the gathered (row, sample) pairs,
+The exact distance of every pair that passes is then computed in float64
+by `feature_diffs(...).sum(axis=-1)` over the gathered (row, sample) pairs,
 the definition the sequential reference uses, and only exact distances
 are compared, sorted and stored.  On mixed ramp data with full cells about
 2% of the pairs pass, and on numeric data well under 1%.
@@ -44,9 +50,10 @@ folds a thread's whole run of partitions into one matrix, so after its
 first tile the cells are full and the cut is almost never needed.
 `tiling` bounds the tile, the feature-major copy and the chunk, so the
 scratch does not grow with the sample count times the partition size.  The
-selection's own scratch, the class bounds gathered per tile column, the
-k-th cut and the exact refine's buffers, lives in the kernel chunk's
-buffer, which is idle between sample groups.
+selection's own scratch, the class limits gathered per tile column, the
+k-th cut and the exact refine's float64 buffers, lives in the kernel
+chunk's buffer, which is idle between sample groups, and so do the float64
+values a run's copy is centred and scaled in.
 
 Cells are written in one place, `NeighborMatrix._insert`, by position.
 Its candidates come sorted by (cell, distance, id), the cell numbered
@@ -69,16 +76,17 @@ from .wire import pack, unpack
 
 __all__ = ["NeighborMatrix", "tiling"]
 
-# Scratch caps of `NeighborMatrix.offer_block`, in float64 elements: the
-# (samples, rows) distance tile, and the feature-major copy of the tile's
-# rows and one (features, samples, rows) kernel chunk (1 MiB each).  A
-# tile's selection makes a run of small numpy calls, each holding the GIL,
-# whatever the tile's size, so threads running partitions in parallel
-# scale better with large tiles; the selection's own scratch lives in the
-# kernel chunk's buffer, idle between sample groups, so a larger tile adds
-# only the tile and its keep mask, and `_insert` places candidates in
-# bounded slices (`INSERT_ELEMS`).  Each kernel chunk costs a few GIL round
-# trips too, but a chunk larger than the core's cache slows each pass.
+# Scratch caps of `NeighborMatrix.offer_block`, in elements of the filter's
+# dtype: the (samples, rows) distance tile, and the feature-major copy of
+# the tile's rows and one (features, samples, rows) kernel chunk (512 KiB
+# each in float32).  A tile's selection makes a run of small numpy calls,
+# each holding the GIL, whatever the tile's size, so threads running
+# partitions in parallel scale better with large tiles; the selection's own
+# scratch lives in the kernel chunk's buffer, idle between sample groups,
+# so a larger tile adds only the tile and its keep mask, and `_insert`
+# places candidates in bounded slices (`INSERT_ELEMS`).  Each kernel chunk
+# costs a few GIL round trips too, but a chunk larger than the core's cache
+# slows each pass.
 TILE_ELEMS = 1 << 17
 CHUNK_ELEMS = 1 << 17
 # Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get chunks
@@ -108,6 +116,10 @@ TILE_MIN_ROWS = 2048
 # default (8192) numpy copies a broadcast operand into its buffer to join
 # short rows into longer loops, which costs more than the arithmetic.
 KERNEL_BUFSIZE = 1024
+# `_Filter` approximates in float32 while the slack that float32 gives rows
+# within the ranges is at most this, a 256th of one feature's largest diff,
+# and in float64 beyond it.
+SLACK32_MAX = 2.0**-8
 _MAX_DIST = float(np.finfo(np.float64).max)
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
@@ -159,101 +171,150 @@ def _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges,
 
 
 class _Filter:
-    """Approximate distances for one block, with no division per element,
-    and a bound on their error.
+    """Approximate distances for one block, in float32 where that is
+    precise enough, with no division per element, and a bound on their
+    error.
 
-    Each numeric feature with a width gets a scale, 1 / safe_width, divided
-    also by the band t_diff - t_eq under the ramp, which also gets one
-    shift, t_eq / (t_diff - t_eq).  A diff is then |x·s - y·s|, and under
-    the ramp clip(|x·s - y·s| - shift, 0, 1): the exact diff's operations
-    with the divisions moved onto the scale.  The samples are scaled once
-    per block, a tile's rows once as they are copied.  Features are held as
-    planes in a new order: numeric features with a width, then nominal ones,
-    compared with `!=` unscaled as `feature_diffs` compares them.  A
+    Each numeric feature with a width gets a scale, s = 1 / safe_width,
+    divided also by the band t_diff - t_eq under the ramp, which also gets
+    one shift, t_eq / (t_diff - t_eq).  A value x becomes X = (x - o)·s,
+    computed in float64 and rounded once to the filter's dtype.  In float32
+    the origin o is the feature's range minimum, so that in-range values
+    scale into [0, width·s] and keep float32's 24 bits whatever their
+    offset; in float64 it is 0.  A diff is then |X - Y|, and under the ramp
+    clip(|X - Y| - shift, 0, 1): the exact diff's operations with the
+    divisions moved onto the scale.  The samples are scaled once per block,
+    a tile's rows once as they are copied.  Features are held as planes in a
+    new order: numeric features with a width, then nominal ones, compared
+    with `!=` from float64 copies, as `feature_diffs` compares them; a
+    float32 copy would merge distinct codes, such as 2**24 and 2**24 + 1.  A
     zero-width feature's diff is 0 in both distances and has no plane.
 
-    The error bound.  Write u = 2**-53 and, for one pair (x, y) and one
-    numeric plane of scale s, r = |x - y|·s, G = (|x| + |y|)·s and q =
-    t_eq / band (0 when linear).  To first order in u, the exact diff
-    before the clip is within 4u·r + 2u·q of r - q: it rounds |x - y|, the
-    division by the width, and under the ramp the subtraction of t_eq and
-    the division by the band.  The approximation is within 4u·r + u·G +
-    2u·q of r - q: it rounds the scale (twice under the ramp), the two
-    products, their difference and the shift.  The clip only brings the two
-    closer, and r <= G <= 2M, M being the plane's largest |value|·s over the
+    The error bound.  Write u for the unit roundoff of the filter's dtype
+    (2**-24 in float32, 2**-53 in float64), U = 2**-53 for that of the
+    exact distances and, for one pair (x, y) and one numeric plane,
+    r = |x - y|·s, G = |X| + |Y| and q = t_eq / band (0 when linear).  To first order in u
+    and U, the exact diff before the clip is within 4U·r + 2U·q of r - q: it
+    rounds |x - y|, the division by the width, and under the ramp the
+    subtraction of t_eq and the division by the band.  A scaled value is
+    within (u + 4U)·|X| of X: it rounds x - o, the scale (twice under the
+    ramp), the product and the cast.  With the rounding of the difference,
+    of the shift and of its subtraction, the approximation is within
+    (u + 4U)·G + 2u·r + (2u + U)·q of r - q.  The clip only brings the two
+    closer, and r <= G <= 2M, M being the plane's largest |X| over the
     tile's rows and the samples; so the two diffs differ by at most
-    18u·M + 4u·q, and by at most 1 under the ramp.  A plane's error bound is
-    e = 24u·M + 8u·shift, with M from the min and max of the scaled values.
-    Nominal planes and zero-width features are exact in both.  A sum of a
-    nonnegative terms, in any order, errs by at most (a - 1)u times their
-    sum; with T a plane's cap on both diffs (1 under the ramp and on a
-    nominal plane, and when linear the spread of the scaled values plus
-    4u·M), |approx - exact| <= sum(e) + 2a·u·(2·sum(T) + sum(e)).  The
-    slack is twice that, which covers the second-order terms and the
-    rounding of the slack's own sums, plus a·tiny for the absolute error of
-    an underflow.  It is +inf, so that every pair is refined, where a
-    scaled value could overflow (a·sum(M) >= 2**1000) or the reciprocal of
-    a width is subnormal and so less precise than u.
+    (6u + 16U)·M + (2u + 3U)·q, and by at most 1 under the ramp.  A plane's
+    error bound is e = 8(u + 2U)·M + 4(u + U)·q, with M from the min and max
+    of the scaled values.  Nominal planes and zero-width features are exact
+    in both.  A sum of a nonnegative terms, in any order, errs by at most
+    (a - 1) unit roundoffs times their sum; with T a plane's cap on both
+    diffs (1 under the ramp and on a nominal plane, and when linear the
+    spread of the scaled values plus e), |approx - exact| <= sum(e) +
+    a·u·(sum(T) + sum(e)) + a·U·sum(T).  The slack is twice that with 2a in
+    place of a, which covers the second-order terms and the rounding of the
+    slack's own sums, plus a·tiny, tiny being the dtype's smallest normal
+    number, for the absolute error of a value rounded into its subnormal
+    range.  It is +inf, so that every pair is refined, where a scaled value
+    could overflow (a·sum(M) >= 2**(maxexp - 24), 2**104 in float32) or the
+    reciprocal of a width is subnormal and so less precise than U.
+
+    The dtype is float32 unless the slack that float32 gives rows within
+    the ranges, M taken over [0, width·s] and the samples, passes
+    `SLACK32_MAX`: under a ramp band of 1e-9 in-range values scale up to
+    1e9, where float32 keeps no digit of a diff, and a band of 1e-300
+    overflows it.
     """
 
     def __init__(self, sample_values, numeric_mask, ranges: FeatureRange, cfg: DiffConfig):
         self.ramp = cfg.numeric_mode is DiffMode.RAMP
         inverse = 1.0 / ranges.safe_width  # 0 for nominal and zero-width features
-        numeric = np.flatnonzero(numeric_mask & (inverse > 0))
-        self.planes = np.concatenate([numeric, np.flatnonzero(~numeric_mask)])
-        self.num_numeric = len(numeric)
+        self.numeric = np.flatnonzero(numeric_mask & (inverse > 0))
+        self.nominal = np.flatnonzero(~numeric_mask)
         self.num_features = len(numeric_mask)
-        self.exact_only = bool((inverse[numeric] < _TINY).any())
-        scale, self.shift = inverse[numeric], 0.0
+        self.exact_only = bool((inverse[self.numeric] < _TINY).any())
+        scale, self.q = inverse[self.numeric], 0.0
         if self.ramp:
             band = cfg.t_diff - cfg.t_eq
-            scale, self.shift = scale / band, cfg.t_eq / band
+            scale, self.q = scale / band, cfg.t_eq / band
         self.scale = scale[:, None]
-        # (planes, samples)
-        self.samples = np.ascontiguousarray(sample_values[:, self.planes].T)
-        scaled = self.samples[: self.num_numeric]
-        scaled *= self.scale
-        self.lo, self.hi = scaled.min(axis=1), scaled.max(axis=1)
+        # (numeric planes, samples) in float64, centred: the slack that
+        # float32 gives rows within the ranges decides the dtype
+        origin = ranges.mins[self.numeric, None]
+        centred = (sample_values[:, self.numeric].T - origin) * self.scale
+        lo = np.minimum(centred.min(axis=1, initial=np.inf), 0.0)
+        hi = np.maximum(centred.max(axis=1, initial=-np.inf), ranges.safe_width[self.numeric] * scale)
+        self.finfo = np.finfo(np.float32)
+        if not self._slack(lo, hi) <= SLACK32_MAX:
+            self.finfo, origin = np.finfo(np.float64), np.zeros_like(origin)
+        self.dtype, self.origin = self.finfo.dtype, origin
+        self.shift = self.dtype.type(self.q)
+        self.samples = np.empty((len(self.numeric), len(sample_values)), self.dtype)
+        self._scale(sample_values, self.samples, np.empty(self.samples.size))
+        self.lo, self.hi = self.samples.min(axis=1), self.samples.max(axis=1)
+        self.nominal_samples = np.ascontiguousarray(sample_values[:, self.nominal].T)
 
-    def copy_rows(self, values: np.ndarray, out: np.ndarray) -> float:
-        """Copy the (rows, features) `values` into `out` as scaled (planes,
-        rows); return the slack of their pairs with the samples."""
-        scaled = out[: self.num_numeric]
-        if self.num_numeric == self.num_features:
-            # every feature is a plane, in order: copy and scale in one pass
-            np.multiply(values.T, self.scale, out=scaled)
+    def _scale(self, values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write the scaled numeric planes of the (rows, features) `values`
+        into `out`, (planes, rows) of the filter's dtype, computed in the
+        flat float64 `scratch` of at least `out.size` elements."""
+        wide = scratch[: out.size].reshape(out.shape)
+        if len(self.numeric) == self.num_features:
+            # every feature is a plane, in order: copy and centre in one pass
+            np.subtract(values.T, self.origin, out=wide)
         else:
-            np.take(values.T, self.planes, axis=0, out=out, mode="clip")
-            scaled *= self.scale
-        if self.exact_only:
-            return np.inf
-        lo = np.minimum(scaled.min(axis=1), self.lo)
-        hi = np.maximum(scaled.max(axis=1), self.hi)
+            np.take(values.T, self.numeric, axis=0, out=wide, mode="clip")
+            wide -= self.origin
+        np.multiply(wide, self.scale, out=out)
+
+    def copy_rows(self, values: np.ndarray, out: np.ndarray, nominal: np.ndarray, scratch: np.ndarray) -> float:
+        """Copy the (rows, features) `values` into `out` as scaled numeric
+        (planes, rows) of the filter's dtype and into `nominal` as float64
+        nominal (planes, rows), computing in the flat float64 `scratch` of at
+        least `out.size` elements; return the slack of their pairs with the
+        samples."""
+        self._scale(values, out, scratch)
+        np.take(values.T, self.nominal, axis=0, out=nominal, mode="clip")
+        lo = np.minimum(out.min(axis=1, initial=np.inf), self.lo)
+        hi = np.maximum(out.max(axis=1, initial=-np.inf), self.hi)
+        return self._slack(lo.astype(np.float64), hi.astype(np.float64))
+
+    def _slack(self, lo: np.ndarray, hi: np.ndarray) -> float:
+        """The bound on |approx - exact| of pairs whose scaled values lie in
+        [lo, hi] on each numeric plane, for the dtype of `self.finfo`."""
         mag = np.maximum(np.abs(lo), np.abs(hi))
         a = self.num_features
-        if not a * mag.sum() < 2.0**1000:  # NaN too
+        if self.exact_only or not a * mag.sum() < 2.0 ** (self.finfo.maxexp - 24):  # NaN too
             return np.inf
-        err = 24 * _U * mag + 8 * _U * self.shift
+        u = float(self.finfo.eps) / 2
+        err = 8 * (u + 2 * _U) * mag + 4 * (u + _U) * self.q
         if self.ramp:
             err, caps = np.minimum(err, 1.0), float(len(mag))
         else:
-            caps = float((hi - lo + 4 * _U * mag).sum())
-        caps += len(self.planes) - self.num_numeric
+            caps = float((hi - lo + err).sum())
+        caps += len(self.nominal)
         errs = float(err.sum())
-        return 2 * (errs + 2 * a * _U * (2 * caps + errs)) + a * _TINY
+        return 2 * (errs + 2 * a * (u * (caps + errs) + _U * caps)) + a * float(self.finfo.tiny)
 
-    def chunk(self, rows: np.ndarray, q0: int, q1: int, out: np.ndarray) -> None:
-        """Write the approximate diffs of the copied (planes, run) `rows`
-        against samples q0 to q1 into `out`, (planes, samples, run)."""
-        n = self.num_numeric
+    def chunk(self, rows: np.ndarray, nominal: np.ndarray, q0: int, q1: int, out: np.ndarray) -> None:
+        """Write the approximate diffs of the copied numeric (planes, run)
+        `rows` and `nominal` rows against samples q0 to q1 into `out`,
+        (planes, samples, run) of the filter's dtype."""
+        n = len(rows)
         diffs = out[:n]
-        np.subtract(rows[:n, None, :], self.samples[:n, q0:q1, None], out=diffs)
+        np.subtract(rows[:, None, :], self.samples[:, q0:q1, None], out=diffs)
         np.abs(diffs, out=diffs)
         if self.ramp:
             diffs -= self.shift
             np.clip(diffs, 0.0, 1.0, out=diffs)
-        if n < len(rows):
-            np.not_equal(rows[n:, None, :], self.samples[n:, q0:q1, None], out=out[n:])
+        if len(nominal):
+            np.not_equal(nominal[:, None, :], self.nominal_samples[:, q0:q1, None], out=out[n:])
+
+
+def _round_up(x: np.ndarray, dtype) -> np.ndarray:
+    """float64 `x` in `dtype`, each value rounded up, so that none falls
+    below its float64 value."""
+    y = x.astype(dtype)
+    return np.where(y < x, np.nextafter(y, np.inf), y)
 
 
 class NeighborMatrix:
@@ -314,9 +375,10 @@ class NeighborMatrix:
         feature-major, by `_Filter.copy_rows`, which also gives the tile's
         `slack`; it serves every sample group.  A kernel chunk is all of the
         run against a few samples: `_Filter.chunk` writes its approximate
-        diffs into a contiguous (planes, g, rows) buffer, and one
-        `np.add.reduce` adds the planes into the tile.  A sample's own row,
-        found by id among the tile's candidates, is excluded.
+        diffs into a contiguous (planes, g, rows) buffer of the filter's
+        dtype, and one `np.add.reduce` adds the planes into the tile.  A
+        sample's own row, found by id among the tile's candidates, is
+        excluded.
         """
         p, m, a = len(block), self.num_samples, block.values.shape[1]
         if p == 0 or m == 0:
@@ -330,21 +392,28 @@ class NeighborMatrix:
             # scaled values may overflow; the slack is then +inf (`_Filter`)
             with np.errstate(over="ignore", invalid="ignore"):
                 filt = _Filter(sample_values, numeric_mask, ranges, cfg)
-                planes = len(filt.planes)
-                tile, source = np.empty(g * rows), np.empty(planes * rows)
-                # the chunk's buffer is idle while a tile is selected, and
-                # holds the selection's scratch then
-                kernel = np.empty(max(planes * width * rows, g * rows, 3 * a))
+                num, nom, dtype = len(filt.numeric), len(filt.nominal), filt.dtype
+                planes = num + nom
+                tile = np.empty(g * rows, dtype)
+                source, nominal = np.empty(num * rows, dtype), np.empty(nom * rows)
+                # the chunk's buffer is idle while a run is copied and while
+                # a tile is selected, and holds their scratch then: the
+                # float64 rows of `copy_rows` and of the exact refine, viewed
+                # as float64
+                nbytes = max(dtype.itemsize * max(planes * width, g) * rows, 8 * max(num * rows, 3 * a))
+                wide = np.empty(-(-nbytes // 8))
+                kernel = wide.view(dtype)
                 keep = np.empty(g * rows, dtype=bool)
 
                 def exact(rows, samples):
-                    return _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg, kernel)
+                    return _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg, wide)
 
                 for r0 in range(0, p, rows):
                     r1 = min(r0 + rows, p)
                     run = r1 - r0
-                    fm_rows = source[: planes * run].reshape(planes, run)
-                    slack = filt.copy_rows(values[r0:r1], fm_rows)
+                    fm_rows = source[: num * run].reshape(num, run)
+                    fm_nominal = nominal[: nom * run].reshape(nom, run)
+                    slack = filt.copy_rows(values[r0:r1], fm_rows, fm_nominal, wide)
                     for s0 in range(0, m, g):
                         s1 = min(s0 + g, m)
                         dist = tile[: (s1 - s0) * run].reshape(s1 - s0, run)
@@ -353,7 +422,7 @@ class NeighborMatrix:
                             q1 = min(q0 + width, s1)
                             cells = (q1 - q0) * run
                             fm = kernel[: planes * cells].reshape(planes, q1 - q0, run)
-                            filt.chunk(fm_rows, q0, q1, fm)
+                            filt.chunk(fm_rows, fm_nominal, q0, q1, fm)
                             np.add.reduce(fm, axis=0, out=dist[q0 - s0 : q1 - s0])
                         self._offer_tile(dist, slack, s0, r0, block, exact, mask, kernel)
         finally:
@@ -365,8 +434,8 @@ class NeighborMatrix:
         from `s0` on, each within `slack` of the exact one, and
         `exact(rows, samples)` gives the exact distances of paired block
         rows and samples.  `keep`, a bool array of `approx`'s shape, and
-        the flat float64 `scratch`, of at least `approx.size` elements, are
-        written over.
+        the flat `scratch` of `approx`'s dtype, of at least `approx.size`
+        elements, are written over.
 
         A row can enter only its own class's cell, and only at or below the
         cell's last slot's distance.  The filter drops a pair only when it
@@ -375,12 +444,14 @@ class NeighborMatrix:
         not full, exceeds the sample's (k+1)-th smallest approximation over
         the class's rows in the tile plus twice `slack` (one of the k + 1
         nearest may be the sample's own row, so k others are exactly within
-        that approximation plus `slack`).  Both tests are written
+        that approximation plus `slack`).  Each limit is computed in
+        float64 and rounded up to `approx`'s dtype.  Both tests are written
         `~(approx > limit)`, so a NaN or inf approximation goes on.  The
         survivors, less the samples' own rows found by id and the pairs
-        whose exact distance is not below an open slot's (NaN among them),
-        go to `_insert` with their exact distances, sorted by (cell,
-        distance, id).
+        whose exact distance is not below an open slot's (an inf or NaN
+        one, which only rows outside the ranges give, among them), go to
+        `_insert` with their exact distances, sorted by (cell, distance,
+        id).
         """
         k, m = self.k, self.num_samples
         g, run = approx.shape
@@ -388,7 +459,7 @@ class NeighborMatrix:
         # (samples, classes) last slots
         bound = self.dist[:, s0 : s0 + g, k - 1].T
         limit = scratch[: approx.size].reshape(g, run)
-        np.take(bound + slack, labels, axis=1, out=limit, mode="clip")
+        np.take(_round_up(bound + slack, approx.dtype), labels, axis=1, out=limit, mode="clip")
         np.greater(approx, limit, out=keep)
         np.logical_not(keep, out=keep)
         if (bound == _MAX_DIST).any():
@@ -403,7 +474,7 @@ class NeighborMatrix:
                     near = scratch[: g * len(cols)].reshape(g, len(cols))
                     np.take(approx, cols, axis=1, out=near, mode="clip")
                     near.partition(k, axis=1)
-                    kth = near[:, k : k + 1] + 2 * slack
+                    kth = _round_up(np.add(near[:, k : k + 1], 2 * slack, dtype=np.float64), approx.dtype)
                     np.take(approx, cols, axis=1, out=near, mode="clip")
                     keep[:, cols] &= ~(near > kth)
         # one flat scan; `np.nonzero` on a 2-d mask costs over ten times more

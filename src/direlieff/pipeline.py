@@ -52,11 +52,13 @@ log = logging.getLogger(__name__)
 
 
 def compute_ranges(ds: PartitionedDataset, engine) -> FeatureRange:
-    """Exact global per-feature (min, max); one fold pass."""
+    """Exact global per-feature (min, max); one fold pass.  ModelError,
+    naming the feature, where a numeric range is wider than the largest
+    float64."""
     if sum(ds.partition_lens()) == 0:
         raise EmptyDatasetError("cannot compute ranges of an empty dataset")
     mins, maxs = engine.run_stage(ds, RANGES, None)
-    return FeatureRange(mins, maxs, ds.schema.numeric_mask())
+    return FeatureRange(mins, maxs, ds.schema.numeric_mask(), [f.name for f in ds.schema.features])
 
 
 def compute_priors(ds: PartitionedDataset, engine) -> ClassPriors:

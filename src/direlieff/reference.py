@@ -61,7 +61,8 @@ def relieff_sequential(
     if len(samples) < 1:
         raise ModelError("need at least one sample")
     mask = schema.numeric_mask()
-    ranges = FeatureRange(block.values.min(axis=0), block.values.max(axis=0), mask)
+    names = [f.name for f in schema.features]
+    ranges = FeatureRange(block.values.min(axis=0), block.values.max(axis=0), mask, names)
     priors = ClassPriors(np.bincount(block.labels, minlength=schema.num_classes))
 
     a = schema.num_features

@@ -254,8 +254,9 @@ class NeighborsStage(Stage):
         if len(head) != 2 or head[0] < 1 or head[1] not in (0, 1) or len(thresholds) != 2:
             raise ValueError("neighbour params need k >= 1, a mode flag of 0 or 1 and two thresholds")
         mask = schema.numeric_mask()
-        # ModelError (a ValueError) on a length other than a or bad thresholds
-        ranges = FeatureRange(mins, maxs, mask)
+        # ModelError (a ValueError) on a length other than a, a width beyond
+        # the largest float64 or bad thresholds
+        ranges = FeatureRange(mins, maxs, mask, [f.name for f in schema.features])
         if np.isnan(ranges.mins[mask]).any() or np.isnan(ranges.maxs[mask]).any():
             raise ValueError("neighbour params have a NaN numeric range")
         cfg = DiffConfig(DiffMode.RAMP if head[1] else DiffMode.LINEAR, *thresholds.tolist())

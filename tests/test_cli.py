@@ -262,6 +262,17 @@ class TestBadInput:
         assert err.startswith("error:") and "d.csv:4: non-finite value '-inf' in numeric column 'a'" in err
         assert not (tmp_path / "w.csv").exists()
 
+    def test_range_wider_than_float64(self, tmp_path, capsys):
+        # both cells are finite and load, but the column's width is not
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,b,label\n0.5,1e308,y\n1.5,0,n\n2.5,-1e308,y\n0.5,2,n\n")
+        code = main(["rank", "--input", str(csv_path), "--m", "2", "--k", "1",
+                     "--output", str(tmp_path / "w.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: feature 'b' ranges from -1e+308 to 1e+308, a width beyond the largest float64\n"
+        assert not (tmp_path / "w.csv").exists()
+
     def test_unknown_class_label_message(self, tmp_path, capsys):
         csv_path, side = tmp_path / "t.csv", tmp_path / "t.schema.json"
         csv_path.write_text("a,label\n1,y\n2,n\n")

@@ -175,13 +175,17 @@ def styled(style, values, mask, rng):
     cfg = {"narrow": NARROW_RAMP, "overflow": OVERFLOW_RAMP}.get(style)
     if style in ("offset", "overflow"):
         # whole steps of the ulp at 1e9, 2**-23, make every value and
-        # difference exact; levels in non-dyadic ratios, such as (0, 5, 12),
+        # difference exact; levels in non-dyadic ratios, such as (0, 6, 14),
         # make the scaled values round, and columns of one level set make
-        # equal distances from differences in different columns
+        # equal distances from differences in different columns.  Every
+        # other column is mirrored, (0, 8, 14) from its minimum, so that
+        # equal differences also come from different levels, whose scaled
+        # values round apart even when centred on the minimum
         step = rng.integers(200, 2_000, size=len(num)) * 2.0**-23
         base = rng.choice([-1e9, 1e9], size=len(num))
+        mirror = np.where(np.arange(len(num)) % 2, -1.0, 1.0)
         level = values[:, num]
-        values[:, num] = base + np.rint(5 * level + level * level) * step
+        values[:, num] = base + mirror * np.rint(5 * level + level * level) * step
     elif style == "zero_width" and len(num):
         flat = rng.choice(num, size=int(rng.integers(1, len(num) + 1)), replace=False)
         values[:, flat] = rng.normal(size=len(flat))
@@ -307,51 +311,18 @@ class TestOfferBlockSelection:
         want = brute_force_entries(block, [9], values[1:], mask, ranges, DiffConfig(), 1, 1)
         assert grid_entries(nn) == want
 
-    def test_nan_distances_enter_no_cell(self):
-        # a column whose range spans -1e308 to 1e308 has an infinite width:
-        # it gets no filter plane, and the exact diff of values of opposite
-        # sign there is inf / inf = NaN.  The first block is 0 in that column
-        # and fills every cell of the first classes; the second is +-1e308,
-        # so that its pairs of opposite sign pass the filter against full
-        # cells and must enter none.  The last class has three rows, all
-        # positive, and leaves the cells of the negative samples open.
-        rng = np.random.default_rng(5)
-        n, m, a, c, k = 1500, 140, 3, 3, 4
-        first, second = rng.normal(size=(n, a)), rng.normal(size=(n, a))
-        first[:, 0] = 0.0
-        second[:, 0] = rng.choice([1e308, -1e308], size=n)
-        labels = rng.integers(0, c - 1, size=2 * n)
-        labels[[n, n + 1, n + 2]] = c - 1
-        second[:3, 0] = 1e308
-        block = InstanceBlock(rng.permutation(2 * n).astype(np.int64), labels, np.concatenate([first, second]))
-        sample_values = rng.normal(size=(m, a))
-        sample_values[:, 0] = rng.choice([1e308, -1e308], size=m)
-        sample_ids, mask = np.arange(m) + 2 * n, np.ones(a, dtype=bool)
-        assert neighbors.tiling(n, m, a)[1] < m  # two sample groups
-        with np.errstate(over="ignore", invalid="ignore"):
-            ranges = FeatureRange(np.array([-1e308, -5, -5]), np.array([1e308, 5, 5]), mask)
-            ranked = brute_force_entries(block, sample_ids, sample_values, mask, ranges, DiffConfig(), c, 2 * n)
-        assert any(np.isnan(e[0]) for row in ranked for cell in row for e in cell)
-        nn = NeighborMatrix(c, sample_ids, k, a)
-        nn.offer_block(block.slice(0, n), sample_values, mask, ranges, DiffConfig())
-        assert (nn.count[: c - 1] == k).all()
-        nn.offer_block(block.slice(n, 2 * n), sample_values, mask, ranges, DiffConfig())
-        want = [[[e for e in cell if not np.isnan(e[0])][:k] for cell in row] for row in ranked]
-        assert grid_entries(nn) == want
-        assert (nn.count[c - 1] == 0).any() and (nn.count[c - 1] == 3).any()
-        # a worker's matrix decodes, as the driver needs
-        assert same_matrix(NeighborMatrix.decode(nn.encode(), sample_ids, c, k, a), nn)
-
 
 def approximate(block, sample_values, mask, ranges, cfg):
-    """The filter's (samples, rows) approximate distances and its slack."""
+    """The filter's (samples, rows) approximate distances, summed in its
+    dtype, and its slack."""
     with np.errstate(over="ignore", invalid="ignore"):
         filt = neighbors._Filter(sample_values, mask, ranges, cfg)
-        planes = len(filt.planes)
-        rows, diffs = np.empty((planes, len(block))), np.empty((planes, len(sample_values), len(block)))
-        slack = filt.copy_rows(block.values, rows)
-        filt.chunk(rows, 0, len(sample_values), diffs)
-    return diffs.sum(axis=0), slack
+        num, nom, p = len(filt.numeric), len(filt.nominal), len(block)
+        rows, nominal = np.empty((num, p), filt.dtype), np.empty((nom, p))
+        diffs = np.empty((num + nom, len(sample_values), p), filt.dtype)
+        slack = filt.copy_rows(block.values, rows, nominal, np.empty(rows.size))
+        filt.chunk(rows, nominal, 0, len(sample_values), diffs)
+    return np.add.reduce(diffs, axis=0), slack
 
 
 # the filter's hard cases (`STYLES`), linear and ramp where the style allows
@@ -466,6 +437,86 @@ class TestAllClassSelection:
         assert sorted_ == offered and len(offered) > 2
         halves[0].merge(halves[1])
         assert len(sorted_) == len(offered) - 1
+
+
+class TestFloat32Filter:
+    """The filter approximates in float32 where its slack allows: every
+    error stays within the slack, and selection equals a full sort of the
+    exact distances, on the cases that float32 handles least well."""
+
+    def check(self, values, mask, ranges, cfg, sample_values=None, k=3):
+        """The slack bounds every approximation's error, and `offer_block`
+        keeps the cells a full sort keeps; returns the filter and its slack."""
+        rng = np.random.default_rng(len(values))
+        block = InstanceBlock(np.arange(len(values)), rng.integers(0, 2, size=len(values)), values.copy())
+        if sample_values is None:
+            sample_values = values[rng.choice(len(values), size=7, replace=False)]
+        approx, slack = approximate(block, sample_values, mask, ranges, cfg)
+        exact = np.sum(feature_diffs(block.values[None], sample_values[:, None], mask, ranges, cfg), axis=-1)
+        finite = np.isfinite(approx)
+        assert (np.abs(approx - exact)[finite] <= slack).all()
+        sample_ids = np.arange(len(sample_values)) + len(values)
+        nn = NeighborMatrix(2, sample_ids, k, len(mask))
+        nn.offer_block(block, sample_values, mask, ranges, cfg)
+        assert grid_entries(nn) == brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, 2, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return neighbors._Filter(sample_values, mask, ranges, cfg), slack, approx, exact
+
+    def test_nominal_codes_distinct_only_in_float64(self):
+        # each pair of codes is one float32: compared from float64 copies,
+        # every nominal diff, and so every distance here, is exact
+        codes = np.array([2.0**24, 2.0**24 + 1, *NOMINAL_CODES])
+        with np.errstate(over="ignore"):
+            as32 = codes.astype(np.float32)
+        assert as32[0] == as32[1] and as32[2] == as32[4] and as32[3] == as32[5]
+        values = codes[np.random.default_rng(11).integers(0, 6, size=(300, 4))]
+        mask = np.zeros(4, dtype=bool)
+        ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+        filt, _, approx, exact = self.check(values, mask, ranges, DiffConfig())
+        assert filt.dtype == np.float32 and np.array_equal(approx, exact)
+
+    def test_scaled_values_in_float32_subnormal_range(self):
+        # centred on its minimum, 0, a column of width 1 scales values
+        # within 1e-38 of it into float32's subnormal range
+        rng = np.random.default_rng(12)
+        values = rng.uniform(0, 1, size=(400, 3))
+        values[:, 0] = rng.choice([0.0, 3e-45, 3e-41, 1e-39, 1.0], size=400)
+        values[:4, 0] = [0.0, 3e-45, 1e-39, 1.0]
+        mask = np.ones(3, dtype=bool)
+        ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+        filt, slack, _, _ = self.check(values, mask, ranges, DiffConfig(), sample_values=values[:4])
+        assert filt.dtype == np.float32 and 0 < slack < 0.5
+        tiny = np.finfo(np.float32).tiny
+        assert 0 < filt.samples[0, 1] < filt.samples[0, 2] < tiny
+
+    @pytest.mark.parametrize("cfg", [DiffConfig(), DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6)], ids=["linear", "ramp"])
+    def test_rows_outside_the_ranges(self, cfg):
+        # `offer_block` called directly with rows, and samples, beyond the
+        # ranges: scaled values lie outside [0, width·scale], and far enough
+        # out overflow float32, where the slack is +inf
+        rng = np.random.default_rng(13)
+        values = rng.uniform(-3, 4, size=(500, 3))
+        mask = np.ones(3, dtype=bool)
+        ranges = FeatureRange(np.zeros(3), np.ones(3), mask)
+        samples = values[:7].copy()
+        filt, slack, _, _ = self.check(values, mask, ranges, cfg, samples)
+        assert filt.dtype == np.float32 and 0 < slack < 0.5
+        values[10::50, 1] = 1e39
+        filt, slack, _, _ = self.check(values, mask, ranges, cfg, samples)
+        assert filt.dtype == np.float32 and slack == np.inf
+
+    @pytest.mark.parametrize("cfg, dtype", [(DiffConfig(), np.float32), (NARROW_RAMP, np.float64), (OVERFLOW_RAMP, np.float64)], ids=["linear", "narrow", "overflow"])
+    def test_float64_where_float32_slack_is_too_wide(self, cfg, dtype):
+        # in-range values scale up to 1 / band: 1e9 under the narrow band,
+        # where float32 keeps no digit of a diff, and 1e300 under the
+        # overflow band, beyond float32
+        rng = np.random.default_rng(14)
+        values = rng.uniform(0, 1, size=(300, 4))
+        mask = np.ones(4, dtype=bool)
+        ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
+        filt, slack, _, _ = self.check(values, mask, ranges, cfg)
+        assert filt.dtype == dtype
+        assert slack < neighbors.SLACK32_MAX or cfg is OVERFLOW_RAMP
 
 
 class TestTiling:
@@ -614,13 +665,16 @@ class TestScratchMemory:
     """tracemalloc peaks of one `offer_block` on a fresh matrix and of one
     `merge`, against bounds counted from the arrays the code allocates at
     the sizes that `tiling` and `INSERT_ELEMS` set: 8 bytes an int64 or
-    float64 element, 1 a bool.
+    float64 element, 4 a float32, 1 a bool.  The filter is float32 in these
+    cases.
 
-    For a whole block `offer_block` holds the tile (g x rows floats) and
-    its keep mask (g x rows bools), the run's feature-major copy (a x rows),
-    the kernel chunk's buffer (the larger of a x width x rows and the tile)
-    and the filter's scaled samples (a x m).  On top of these, the larger
-    of:
+    For a whole block `offer_block` holds the tile (g x rows float32) and
+    its keep mask (g x rows bools), the run's feature-major copy (num x rows
+    float32 and nom x rows float64), the kernel chunk's buffer (the larger
+    of a x width x rows and the tile in float32, and of num x rows and 3a
+    in float64, for the copy's centring and the exact refine) and the
+    filter's scaled samples (num x m float32 and nom x m float64).  On top
+    of these, the larger of:
 
     - the k-th cut's bool arrays over a class's columns (`near > kth`, its
       negation, and the gather of `keep`), at most three tiles of bools,
@@ -671,14 +725,15 @@ class TestScratchMemory:
         """`_place`'s arrays for s candidates of which `moved` held entries move up."""
         return s * (self.CANDIDATE_BYTES + self.CANDIDATE_SLOT_BYTES * k + 8 * a) + moved * (self.MOVED_BYTES + 8 * a)
 
-    def offer_bound(self, p, m, a, nom, c, k):
+    def offer_bound(self, p, m, num, nom, c, k):
+        a = num + nom
         rows, g, width = neighbors.tiling(p, m, a)
         tile = g * rows
-        kernel = max(a * width * rows, tile, 3 * a)
-        block = 8 * (tile + a * rows + kernel + a * m) + tile
+        kernel = max(4 * max(a * width, g) * rows, 8 * max(num * rows, 3 * a))  # bytes
+        block = 4 * (tile + num * (rows + m)) + 8 * nom * (rows + m) + kernel + tile
         cut = 3 * tile + 9 * rows
         pairs = c * g * (k + 1)
-        refine = min(pairs, kernel // (3 * a)) * (17 * nom + 8)
+        refine = min(pairs, kernel // (8 * 3 * a)) * (17 * nom + 8)
         s = neighbors._even(pairs, neighbors.INSERT_ELEMS // (k + a))
         moved = (k - 1) * min(s, c * g) if p > rows else 0
         return block + max(cut, pairs * self.PAIR_BYTES + refine + self.place_bytes(s, moved, k, a))
@@ -707,7 +762,7 @@ class TestScratchMemory:
         nn = NeighborMatrix(c, np.arange(m) + p, k, a)
         peak = self.peak(lambda: nn.offer_block(block, sample_values, mask, ranges, cfg))
         assert (nn.count == k).all()
-        assert peak <= self.offer_bound(p, m, a, nom, c, k)
+        assert peak <= self.offer_bound(p, m, num, nom, c, k)
 
     def test_merge_peak(self):
         c, m, k, a = 5, 400, 10, 30

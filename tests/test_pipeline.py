@@ -20,6 +20,7 @@ from direlieff.model import (
     FeatureMeta,
     FeatureRange,
     InstanceBlock,
+    ModelError,
     RankConfig,
     Schema,
     feature_diffs,
@@ -89,6 +90,21 @@ class TestRanges:
         mask = schema.numeric_mask()
         assert np.array_equal(r.mins[mask], lo[mask])
         assert np.array_equal(r.maxs[mask], hi[mask])
+
+    def test_range_wider_than_float64_rejected(self):
+        # a width of +inf would make the diff of two values of opposite sign
+        # inf / inf = NaN: `rank` stops with a ModelError naming the
+        # feature, from the ranges merged across partitions
+        values = [[0.0, 1e308], [1.0, 5.0], [2.0, 0.0], [3.0, -1e308]]
+        ds = tiny_dataset(values, [0, 1, 0, 1], numeric_schema(2), partitions=2)
+        with pytest.raises(ModelError, match=r"feature 'f1' ranges from -1e\+308 to 1e\+308"):
+            rank(ds, RankConfig(m=2, k=1, seed=0))
+        # without names, the feature is given by its index
+        with pytest.raises(ModelError, match=r"feature 1 ranges from -1e\+308 to 1e\+308"):
+            FeatureRange(np.array([0.0, -1e308]), np.array([3.0, 1e308]), np.ones(2, dtype=bool))
+        # the widest finite range is accepted
+        big = np.finfo(np.float64).max
+        assert FeatureRange(np.array([-big / 2]), np.array([big / 2]), np.ones(1, dtype=bool)).safe_width[0] == big
 
     def test_empty_dataset_rejected(self):
         empty = InstanceBlock(np.empty(0), np.empty(0), np.empty((0, 1)))
