@@ -239,9 +239,8 @@ class FeatureRange:
         if len(overflow):
             j = int(overflow[0])
             name = repr(names[j]) if names is not None else str(j)
-            raise ModelError(
-                f"feature {name} ranges from {float(mins[j])!r} to {float(maxs[j])!r}, a width beyond the largest float64"
-            )
+            lo, hi = float(mins[j]), float(maxs[j])
+            raise ModelError(f"feature {name} ranges from {lo!r} to {hi!r}, a width beyond the largest float64")
         safe = np.full(mins.shape, np.inf)
         usable = numeric_mask & (width > 0)
         safe[usable] = width[usable]

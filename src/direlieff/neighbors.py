@@ -218,11 +218,12 @@ class _Filter:
     could overflow (a·sum(M) >= 2**(maxexp - 24), 2**104 in float32) or the
     reciprocal of a width is subnormal and so less precise than U.
 
-    The dtype is float32 unless the slack that float32 gives rows within
-    the ranges, M taken over [0, width·s] and the samples, passes
-    `SLACK32_MAX`: under a ramp band of 1e-9 in-range values scale up to
-    1e9, where float32 keeps no digit of a diff, and a band of 1e-300
-    overflows it.
+    The dtype is float32 unless the slack that float32 gives values within
+    the ranges, M taken over [0, width·s], passes `SLACK32_MAX`: under a
+    ramp band of 1e-9 in-range values scale up to 1e9, where float32 keeps
+    no digit of a diff, and a band of 1e-300 overflows it.  Values outside
+    the ranges, which only a direct call can offer, get the slack of their
+    own M, up to +inf.
     """
 
     def __init__(self, sample_values, numeric_mask, ranges: FeatureRange, cfg: DiffConfig):
@@ -237,16 +238,12 @@ class _Filter:
             band = cfg.t_diff - cfg.t_eq
             scale, self.q = scale / band, cfg.t_eq / band
         self.scale = scale[:, None]
-        # (numeric planes, samples) in float64, centred: the slack that
-        # float32 gives rows within the ranges decides the dtype
-        origin = ranges.mins[self.numeric, None]
-        centred = (sample_values[:, self.numeric].T - origin) * self.scale
-        lo = np.minimum(centred.min(axis=1, initial=np.inf), 0.0)
-        hi = np.maximum(centred.max(axis=1, initial=-np.inf), ranges.safe_width[self.numeric] * scale)
-        self.finfo = np.finfo(np.float32)
-        if not self._slack(lo, hi) <= SLACK32_MAX:
-            self.finfo, origin = np.finfo(np.float64), np.zeros_like(origin)
-        self.dtype, self.origin = self.finfo.dtype, origin
+        # centred, values within the ranges scale into [0, width·s]
+        top = ranges.safe_width[self.numeric] * scale
+        self.finfo, self.origin = np.finfo(np.float32), ranges.mins[self.numeric, None]
+        if not self._slack(np.zeros_like(top), top) <= SLACK32_MAX:
+            self.finfo, self.origin = np.finfo(np.float64), np.zeros_like(self.origin)
+        self.dtype = self.finfo.dtype
         self.shift = self.dtype.type(self.q)
         self.samples = np.empty((len(self.numeric), len(sample_values)), self.dtype)
         self._scale(sample_values, self.samples, np.empty(self.samples.size))

@@ -489,7 +489,9 @@ class TestFloat32Filter:
         tiny = np.finfo(np.float32).tiny
         assert 0 < filt.samples[0, 1] < filt.samples[0, 2] < tiny
 
-    @pytest.mark.parametrize("cfg", [DiffConfig(), DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6)], ids=["linear", "ramp"])
+    @pytest.mark.parametrize(
+        "cfg", [DiffConfig(), DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6)], ids=["linear", "ramp"]
+    )
     def test_rows_outside_the_ranges(self, cfg):
         # `offer_block` called directly with rows, and samples, beyond the
         # ranges: scaled values lie outside [0, width·scale], and far enough
@@ -505,7 +507,11 @@ class TestFloat32Filter:
         filt, slack, _, _ = self.check(values, mask, ranges, cfg, samples)
         assert filt.dtype == np.float32 and slack == np.inf
 
-    @pytest.mark.parametrize("cfg, dtype", [(DiffConfig(), np.float32), (NARROW_RAMP, np.float64), (OVERFLOW_RAMP, np.float64)], ids=["linear", "narrow", "overflow"])
+    @pytest.mark.parametrize(
+        "cfg, dtype",
+        [(DiffConfig(), np.float32), (NARROW_RAMP, np.float64), (OVERFLOW_RAMP, np.float64)],
+        ids=["linear", "narrow", "overflow"],
+    )
     def test_float64_where_float32_slack_is_too_wide(self, cfg, dtype):
         # in-range values scale up to 1 / band: 1e9 under the narrow band,
         # where float32 keeps no digit of a diff, and 1e300 under the
