@@ -446,7 +446,8 @@ class TestFloat32Filter:
 
     def check(self, values, mask, ranges, cfg, sample_values=None, k=3):
         """The slack bounds every approximation's error, and `offer_block`
-        keeps the cells a full sort keeps; returns the filter and its slack."""
+        keeps the cells a full sort keeps; returns the filter, its slack,
+        the approximate and the exact distances."""
         rng = np.random.default_rng(len(values))
         block = InstanceBlock(np.arange(len(values)), rng.integers(0, 2, size=len(values)), values.copy())
         if sample_values is None:
