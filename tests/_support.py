@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from direlieff import engine
 from direlieff.cluster import read_frame, serve_worker
 from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema, feature_diffs
+from direlieff.wire import unpack
 
 
 def random_mixed_block(rng: np.random.Generator, n: int, a_num: int, a_nom: int, c: int):
@@ -94,7 +95,11 @@ def brute_force_entries(block, sample_ids, sample_values, mask, ranges, cfg, num
 def wire_damage(buf: bytes, dtypes, data, cuts=None) -> list[bytes]:
     """Damaged copies of a `wire` message of the given dtypes: its
     truncations at `cuts` (default: every one), a one-byte extension, and
-    one element count set to another value, drawn from hypothesis `data`."""
+    one element count set to another value, drawn from hypothesis `data`.
+    The new count never frames the bytes as another message of the same
+    dtypes, which no decoder could tell from one sent as it is; small
+    integer payloads allow it (counts 1 and 1 over the values 2 and 6, with
+    the first count set to 0, read as counts 0 and 2 over 1 and 6)."""
     bad = [buf[:cut] for cut in (range(len(buf)) if cuts is None else cuts)]
     bad.append(buf + bytes([data.draw(st.integers(0, 255), label="extra byte")]))
     fields, at = [], 0
@@ -103,10 +108,25 @@ def wire_damage(buf: bytes, dtypes, data, cuts=None) -> list[bytes]:
         at += 8 + int.from_bytes(buf[at : at + 8], "big") * np.dtype(dtype).itemsize
     if fields:
         at = data.draw(st.sampled_from(fields), label="count field")
-        old = int.from_bytes(buf[at : at + 8], "big")
-        new = data.draw(st.integers(0, 2**64 - 1).filter(lambda v: v != old), label="count")
-        bad.append(buf[:at] + new.to_bytes(8, "big") + buf[at + 8 :])
+
+        def recount(v):
+            return buf[:at] + v.to_bytes(8, "big") + buf[at + 8 :]
+
+        new = data.draw(
+            st.integers(0, 2**64 - 1).filter(lambda v: not _frames(recount(v), dtypes)),
+            label="count",
+        )
+        bad.append(recount(new))
     return bad
+
+
+def _frames(buf: bytes, dtypes) -> bool:
+    """Whether `buf` parses as one array of each dtype, with no bytes left."""
+    try:
+        unpack(buf, *dtypes)
+    except ValueError:
+        return False
+    return True
 
 
 def read_frames(data: bytes, count: int = 1, **limits):
