@@ -15,7 +15,6 @@ from .engine import (
     EngineError,
     LocalEngine,
     PartitionedDataset,
-    ResultSizeError,
 )
 from .ingest import DatasetSource, IngestError, infer_schema, load
 from .model import (
@@ -60,7 +59,6 @@ __all__ = [
     "PartitionedDataset",
     "RankConfig",
     "RankResult",
-    "ResultSizeError",
     "Schema",
     "SynthSpec",
     "WeightVector",

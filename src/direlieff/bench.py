@@ -69,7 +69,7 @@ def _median_time(fn, repeats: int):
     return statistics.median(times), result
 
 
-def stability_curve(ds, m_values, k, seed_pairs, engine=None, diff=None):
+def stability_curve(ds, m_values, k, seed_pairs, engine=None):
     """Mean weight discrepancy between two independent draws, per sample size.
 
     For each m and each (seed1, seed2) pair the dataset is ranked twice and
@@ -84,9 +84,8 @@ def stability_curve(ds, m_values, k, seed_pairs, engine=None, diff=None):
     for m in m_values:
         diffs = []
         for s1, s2 in seed_pairs:
-            kwargs = {"diff": diff} if diff is not None else {}
-            w1 = rank(ds, RankConfig(m=m, k=k, seed=s1, **kwargs), engine).weights
-            w2 = rank(ds, RankConfig(m=m, k=k, seed=s2, **kwargs), engine).weights
+            w1 = rank(ds, RankConfig(m=m, k=k, seed=s1), engine).weights
+            w2 = rank(ds, RankConfig(m=m, k=k, seed=s2), engine).weights
             diffs.append(avg_diff(w1, w2))
         rows.append({"m": m, "avg_diff": float(np.mean(diffs))})
     return rows
@@ -112,7 +111,6 @@ def scaling_sweep(
     base_m: int = 10,
     k: int = 10,
     seed: int = 0,
-    classes: int = 2,
     repeats: int = 3,
     partitions: int = 4,
     engine=None,
@@ -134,7 +132,7 @@ def scaling_sweep(
         n = point if axis == "n" else base_n
         a = point if axis == "a" else base_features
         m = point if axis == "m" else base_m
-        spec = SynthSpec(n=n, informative=min(5, a), noise=a - min(5, a), classes=classes, seed=seed)
+        spec = SynthSpec(n=n, informative=min(5, a), noise=a - min(5, a), seed=seed)
         ds = make_dataset(spec, partitions=partitions)
         cfg = RankConfig(m=m, k=k, seed=seed)
         seconds, _ = _median_time(lambda: rank(ds, cfg, engine), repeats)

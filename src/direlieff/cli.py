@@ -193,14 +193,17 @@ def _print_top(result, schema, limit: int = 10) -> None:
 
 
 def _cmd_rank(args) -> int:
+    if args.backend == "cluster" and not args.cluster_workers:
+        print("error: --backend cluster requires --cluster-workers", file=sys.stderr)
+        return 1
+    if args.backend != "cluster" and args.cluster_workers:
+        print("error: --cluster-workers requires --backend cluster", file=sys.stderr)
+        return 1
     ds = _load_dataset(args)
     config = _rank_config(args)
     engine_cfg = EngineConfig(workers=args.workers)
     with contextlib.ExitStack() as stack:
         if args.backend == "cluster":
-            if not args.cluster_workers:
-                print("error: --backend cluster requires --cluster-workers", file=sys.stderr)
-                return 1
             engine = stack.enter_context(ClusterEngine(args.cluster_workers, engine_cfg))
         else:
             engine = LocalEngine(engine_cfg)

@@ -25,7 +25,6 @@ __all__ = [
     "EngineConfig",
     "EngineError",
     "EmptyDatasetError",
-    "ResultSizeError",
     "PartitionedDataset",
     "LocalEngine",
     "split_sizes",
@@ -44,16 +43,13 @@ class EmptyDatasetError(EngineError):
     """An action that needs at least one element saw none."""
 
 
-class ResultSizeError(EngineError):
-    """A driver-bound result exceeded the configured byte cap."""
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """`workers` is the most threads a stage runs on; `fold_runs` uses no
-    more threads than the process has cores.  `max_result_bytes` caps a
-    stage's encoded result; on a cluster, each worker's STAGE_RESULT
-    payload for a stage, whose stage name adds 4 + len(name) bytes."""
+    more threads than the process has cores.  `max_result_bytes` is the
+    cluster driver's cap on each worker's STAGE_RESULT payload for a stage,
+    whose stage name adds 4 + len(name) bytes; `LocalEngine` ignores it,
+    since a local result is never encoded."""
 
     workers: int = 1
     max_result_bytes: int = DEFAULT_MAX_RESULT_BYTES
@@ -211,6 +207,7 @@ class LocalEngine:
     Each thread's result, the fold of its contiguous run of partitions, is
     combined sequentially on the driver in partition order.  The pool has
     `config.workers` threads, but no more than the cores (`fold_runs`).
+    Results stay in the process, so no stage codec is called.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -219,12 +216,6 @@ class LocalEngine:
     def run_stage(self, ds: PartitionedDataset, stage, params):
         """Run a registered stage with `fold_runs`: each thread's
         contiguous run of partitions from one zero, then the stage combiner
-        in run order.  The encoded result is checked against the byte cap."""
+        in run order."""
         parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]
-        result = fold_runs(stage, ds.schema, params, parts, self.config.workers)
-        nbytes = len(stage.encode_result(result, ds.schema))
-        if nbytes > self.config.max_result_bytes:
-            raise ResultSizeError(
-                f"stage {stage.name!r} result of {nbytes} bytes exceeds cap {self.config.max_result_bytes}"
-            )
-        return result
+        return fold_runs(stage, ds.schema, params, parts, self.config.workers)

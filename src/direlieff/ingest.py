@@ -220,6 +220,9 @@ def _read_csv(path: str, sidecar_path: str | None):
         ncols = len(header)
         if ncols < 2:
             raise IngestError(f"{path}: need at least one feature column and a class column")
+        if len(set(header)) < ncols:
+            name = next(name for i, name in enumerate(header) if name in header[:i])
+            raise IngestError(f"{path}:1: column name {name!r} repeats in the header")
         sidecar = _load_sidecar(sidecar_path) if sidecar_path is not None else {}
         class_pos, kinds = _csv_layout(header, sidecar, path)
         feature_pos = [j for j in range(ncols) if j != class_pos]
@@ -344,6 +347,8 @@ def _load_libsvm(src: DatasetSource):
     a = sidecar.get("num_features", max_idx)
     if isinstance(a, bool) or not isinstance(a, int):
         raise IngestError(f'{src.schema_sidecar}: sidecar "num_features" must be an integer, not {a!r}')
+    if a < 1 and "num_features" in sidecar:
+        raise IngestError(f'{src.schema_sidecar}: sidecar "num_features" must be >= 1, not {a}')
     if a < 1:
         raise IngestError(f"{src.path}: no feature indices found")
     if max_idx > a:

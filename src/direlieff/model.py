@@ -93,12 +93,6 @@ class Schema:
         """Boolean vector, True where the feature is numeric."""
         return np.array([f.kind is FeatureKind.NUMERIC for f in self.features], dtype=bool)
 
-    def label_id(self, label: str) -> int:
-        try:
-            return self.class_labels.index(label)
-        except ValueError:
-            raise ModelError(f"unknown class label {label!r}") from None
-
     def to_dict(self) -> dict:
         return {
             "features": [{"name": f.name, "kind": f.kind.value} for f in self.features],
@@ -291,13 +285,6 @@ class DiffConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.t_eq < self.t_diff <= 1.0):
             raise ModelError(f"need 0 <= t_eq < t_diff <= 1, got ({self.t_eq}, {self.t_diff})")
-
-    def to_dict(self) -> dict:
-        return {"numeric_mode": self.numeric_mode.value, "t_eq": self.t_eq, "t_diff": self.t_diff}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiffConfig":
-        return cls(numeric_mode=DiffMode(d["numeric_mode"]), t_eq=d["t_eq"], t_diff=d["t_diff"])
 
 
 @dataclass(frozen=True, eq=False)

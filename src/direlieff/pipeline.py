@@ -101,7 +101,7 @@ def find_neighbors(
     Distances are computed on the fly inside the fold and never stored as a
     dataset; only the bounded neighbour matrix travels back to the driver.
     """
-    params = NeighborParams.build(ds.schema, samples, k, ranges, cfg)
+    params = NeighborParams(samples, k, ranges, cfg)
     return engine.run_stage(ds, NEIGHBORS, params)
 
 

@@ -214,11 +214,6 @@ class NeighborParams:
     k: int
     ranges: FeatureRange
     cfg: DiffConfig
-    numeric_mask: np.ndarray
-
-    @classmethod
-    def build(cls, schema: Schema, samples: InstanceBlock, k: int, ranges, cfg) -> "NeighborParams":
-        return cls(samples=samples, k=k, ranges=ranges, cfg=cfg, numeric_mask=schema.numeric_mask())
 
 
 class NeighborsStage(Stage):
@@ -230,7 +225,7 @@ class NeighborsStage(Stage):
         return NeighborMatrix(schema.num_classes, params.samples.ids, params.k, schema.num_features)
 
     def run_block(self, acc, block, params, schema, partition_index):
-        acc.offer_block(block, params.samples.values, params.numeric_mask, params.ranges, params.cfg)
+        acc.offer_block(block, params.samples.values, schema.numeric_mask(), params.ranges, params.cfg)
         return acc
 
     def comb(self, a, b):
@@ -260,7 +255,7 @@ class NeighborsStage(Stage):
         if np.isnan(ranges.mins[mask]).any() or np.isnan(ranges.maxs[mask]).any():
             raise ValueError("neighbour params have a NaN numeric range")
         cfg = DiffConfig(DiffMode.RAMP if head[1] else DiffMode.LINEAR, *thresholds.tolist())
-        return NeighborParams(check_block(ids, labels, values, schema), int(head[0]), ranges, cfg, mask)
+        return NeighborParams(check_block(ids, labels, values, schema), int(head[0]), ranges, cfg)
 
     def encode_result(self, result, schema):
         return result.encode()

@@ -77,6 +77,13 @@ class TestRankCommand:
         assert code == 1
         assert "--cluster-workers" in capsys.readouterr().err
 
+    def test_worker_list_needs_cluster_backend(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "weights.csv"
+        code = main(["rank", "--input", data_csv, "--cluster-workers", "127.0.0.1:1", "--output", str(out)])
+        assert code == 1
+        assert "--backend cluster" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cluster_backend_end_to_end(self, data_csv, tmp_path):
         out_local = tmp_path / "local.csv"
         assert main(
@@ -271,6 +278,15 @@ class TestBadInput:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: feature 'b' ranges from -1e+308 to 1e+308, a width beyond the largest float64\n"
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("header, name", [("a,a,label", "a"), ("a,label,label", "label")])
+    def test_repeated_header_name(self, tmp_path, capsys, header, name):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(f"{header}\n1,2,y\n3,4,n\n")
+        code = main(["rank", "--input", str(csv_path), "--output", str(tmp_path / "w.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {csv_path}:1: column name {name!r} repeats in the header\n"
         assert not (tmp_path / "w.csv").exists()
 
     def test_unknown_class_label_message(self, tmp_path, capsys):

@@ -231,7 +231,7 @@ class TestClusterRuns:
             with ClusterEngine([addr]) as eng:
                 ranges = compute_ranges(mixed_dataset, eng)
                 samples = select_samples(mixed_dataset, eng, 4, 1)
-                params = NeighborParams.build(mixed_dataset.schema, samples, 3, ranges, DiffConfig())
+                params = NeighborParams(samples, 3, ranges, DiffConfig())
                 with pytest.raises(ClusterError, match=f"worker {addr[0]}:{addr[1]}: malformed"):
                     eng.run_stage(mixed_dataset, Mangled(), params)
         finally:

@@ -16,12 +16,11 @@ from direlieff.engine import (
     EngineError,
     LocalEngine,
     PartitionedDataset,
-    ResultSizeError,
     draw_sample_positions,
     split_sizes,
 )
-from direlieff.model import DiffConfig, DiffMode, FeatureRange, Instance, InstanceBlock
-from direlieff.pipeline import select_samples
+from direlieff.model import DiffConfig, DiffMode, FeatureRange, Instance, InstanceBlock, RankConfig
+from direlieff.pipeline import rank, select_samples
 from direlieff.stages import FETCH, NEIGHBORS, PRIORS, RANGES, FetchParams, NeighborParams, PriorsStage
 
 
@@ -99,11 +98,22 @@ class TestAggregate:
         assert got.tolist() == np.bincount(whole(ds).labels, minlength=3).tolist()
         assert pools == ([threads] if threads > 1 else [])  # one thread folds on the caller
 
-    def test_result_size_cap(self):
-        ds = make_ds(100, 2)
-        eng = LocalEngine(EngineConfig(max_result_bytes=16))
-        with pytest.raises(ResultSizeError):
-            eng.run_stage(ds, RANGES, None)
+    def test_calls_no_codec(self, monkeypatch):
+        """Local results never leave the process: a rank whose stage codecs
+        all raise gives the weights of one whose codecs work, under a
+        result cap no encoded result fits."""
+        ds = make_ds(120, 4)
+        cfg = RankConfig(m=10, k=3, seed=2, diff=DiffConfig(DiffMode.RAMP))
+        want = rank(ds, cfg, LocalEngine(EngineConfig(workers=2))).weights
+
+        def refuse(*args):
+            raise AssertionError("a local stage called a codec")
+
+        for stage in (RANGES, PRIORS, FETCH, NEIGHBORS):
+            for codec in ("encode_params", "decode_params", "encode_result", "decode_result"):
+                monkeypatch.setattr(stage, codec, refuse)
+        got = rank(ds, cfg, LocalEngine(EngineConfig(workers=2, max_result_bytes=1))).weights
+        assert np.array_equal(got.values, want.values)
 
     @given(n=st.integers(1, 60), parts=st.integers(1, 8), workers=st.integers(1, 4), seed=st.integers(0, 99))
     @settings(max_examples=120, deadline=None)
@@ -138,7 +148,7 @@ def stage_cases(draw):
     samples = block.take(rng.choice(len(block), size=int(rng.integers(1, min(len(block), 6) + 1)), replace=False))
     ranges = FeatureRange(values.min(axis=0), values.max(axis=0), mask)
     cfg = DiffConfig(DiffMode.RAMP, t_eq=0.1, t_diff=0.5) if rng.random() < 0.5 else DiffConfig()
-    neighbor = NeighborParams.build(schema, samples, int(rng.integers(1, 6)), ranges, cfg)
+    neighbor = NeighborParams(samples, int(rng.integers(1, 6)), ranges, cfg)
     return ds, [(RANGES, None), (PRIORS, None), (FETCH, FetchParams(positions, np.cumsum(sizes))), (NEIGHBORS, neighbor)]
 
 

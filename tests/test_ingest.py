@@ -115,6 +115,13 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match=r"t\.csv:3.*missing"):
             load(src)
 
+    @pytest.mark.parametrize("header, name", [("a,a,label", "a"), ("a,label,label", "label")])
+    def test_repeated_header_name(self, tmp_path, header, name):
+        # the ragged row after the header is never reached
+        src = DatasetSource(write(tmp_path, "t.csv", f"{header}\n1,y\n2,3,n\n"))
+        with pytest.raises(IngestError, match=rf"t\.csv:1: column name '{name}' repeats in the header"):
+            load(src)
+
     def test_partition_concat_reproduces_file(self, tmp_path):
         text = "a,label\n" + "".join(f"{i}.5,{'y' if i % 2 else 'n'}\n" for i in range(17))
         src = DatasetSource(write(tmp_path, "t.csv", text))
@@ -217,6 +224,20 @@ class TestLoadLibsvm:
             write(tmp_path, "t.libsvm", "1 1:1.0\n0 2:1.0\n"), format="libsvm", schema_sidecar=side
         )
         assert load(src).schema.num_features == 5
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_sidecar_feature_count_below_one(self, tmp_path, count):
+        side = write(tmp_path, "t.json", json.dumps({"num_features": count}))
+        src = DatasetSource(
+            write(tmp_path, "t.libsvm", "1 1:1.0\n0 2:1.0\n"), format="libsvm", schema_sidecar=side
+        )
+        with pytest.raises(IngestError, match=rf't\.json: sidecar "num_features" must be >= 1, not {count}$'):
+            load(src)
+
+    def test_no_feature_indices(self, tmp_path):
+        src = DatasetSource(write(tmp_path, "t.libsvm", "1\n0\n"), format="libsvm")
+        with pytest.raises(IngestError, match=r"t\.libsvm: no feature indices found"):
+            load(src)
 
 
 class TestSource:

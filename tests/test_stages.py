@@ -147,7 +147,7 @@ class TestNeighborsStage:
             ranges = FeatureRange(nan, nan, mask)
         samples = InstanceBlock(block.ids[:4], block.labels[:4], block.values[:4])
         cfg = DiffConfig(numeric_mode=mode)
-        return NeighborParams.build(schema, samples, kk, ranges, cfg)
+        return NeighborParams(samples, kk, ranges, cfg)
 
     @pytest.mark.parametrize("mode", [DiffMode.LINEAR, DiffMode.RAMP])
     def test_block_equals_seq_bitwise(self, dataset, mode):
@@ -158,7 +158,7 @@ class TestNeighborsStage:
         )
         s = params.samples
         want = brute_force_entries(
-            block, s.ids, s.values, params.numeric_mask, params.ranges, params.cfg, schema.num_classes, params.k
+            block, s.ids, s.values, schema.numeric_mask(), params.ranges, params.cfg, schema.num_classes, params.k
         )
         assert grid_entries(fast) == want
 

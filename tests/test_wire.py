@@ -87,7 +87,7 @@ def codec_case(stage_name, part, seed):
         ranges = FeatureRange(block.values.min(axis=0), block.values.max(axis=0), mask)
         cfg = DiffConfig(DiffMode.RAMP, t_eq=0.2, t_diff=0.6) if rng.random() < 0.5 else DiffConfig()
         samples = block.slice(0, int(rng.integers(1, len(block) + 1)))
-        params = NeighborParams.build(schema, samples, int(rng.integers(1, 4)), ranges, cfg)
+        params = NeighborParams(samples, int(rng.integers(1, 4)), ranges, cfg)
     if part == "params":
         return (
             stage.encode_params(params, schema),
