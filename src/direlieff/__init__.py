@@ -31,7 +31,6 @@ from .model import (
     Schema,
     WeightVector,
     diff,
-    distance,
     feature_diffs,
     rank_features,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SynthSpec",
     "WeightVector",
     "diff",
-    "distance",
     "feature_diffs",
     "gen_synthetic",
     "infer_schema",

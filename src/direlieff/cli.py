@@ -51,11 +51,25 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _positive_int_list(text: str) -> list[int]:
+    values = _int_list(text)
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
+    return values
 
 
 def _addr_list(text: str) -> list[tuple[str, int]]:
@@ -68,7 +82,7 @@ def _addr_list(text: str) -> list[tuple[str, int]]:
         if not sep:
             raise argparse.ArgumentTypeError(f"worker address {tok!r} is not host:port")
         try:
-            out.append((host, int(port)))
+            out.append((host, _port(port)))
         except ValueError:
             raise argparse.ArgumentTypeError(f"worker address {tok!r} has a bad port")
     if not out:
@@ -119,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="rank features of a dataset")
     _add_dataset_flags(p_rank)
     _add_rank_flags(p_rank)
-    p_rank.add_argument("--workers", type=_positive_int, default=1)
+    p_rank.add_argument("--workers", type=_positive_int, default=1,
+                        help="local threads; a cluster worker takes --threads")
     p_rank.add_argument("--backend", choices=("local", "cluster"), default="local")
     p_rank.add_argument("--cluster-workers", type=_addr_list, default=None,
                         help="comma-separated host:port list")
@@ -147,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_speed.add_argument("--n", type=_positive_int, default=1_000_000)
     p_speed.add_argument("--features", type=_positive_int, default=20)
     p_speed.add_argument("--classes", type=_positive_int, default=2)
-    p_speed.add_argument("--worker-counts", type=_int_list, default=[1, 2, 4])
+    p_speed.add_argument("--worker-counts", type=_positive_int_list, default=[1, 2, 4])
     p_speed.add_argument("--partitions", type=_positive_int, default=None,
                          help="defaults to max worker count")
     p_speed.add_argument("--m", type=_positive_int, default=10)
@@ -177,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = sub.add_parser("worker", help="run a cluster worker")
     p_worker.add_argument("--host", default="127.0.0.1")
-    p_worker.add_argument("--port", type=int, default=0, help="0 picks a free port")
+    p_worker.add_argument("--port", type=_port, default=0, help="0-65535; 0 picks a free port")
     p_worker.add_argument("--threads", type=_positive_int, default=1)
 
     return parser
@@ -198,6 +213,9 @@ def _cmd_rank(args) -> int:
         return 1
     if args.backend != "cluster" and args.cluster_workers:
         print("error: --cluster-workers requires --backend cluster", file=sys.stderr)
+        return 1
+    if args.backend == "cluster" and args.workers > 1:
+        print("error: --workers sets local threads; a cluster worker takes --threads", file=sys.stderr)
         return 1
     ds = _load_dataset(args)
     config = _rank_config(args)

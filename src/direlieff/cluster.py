@@ -336,8 +336,6 @@ class ClusterEngine:
     # -- dataset distribution
 
     def distribute(self, ds: PartitionedDataset) -> None:
-        if ds.schema is None:
-            raise ClusterError("cluster execution needs a dataset with a schema")
         self.connect()
         bounds = np.cumsum([0, *split_sizes(ds.num_partitions, len(self.addrs))]).tolist()
         self._assignment = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InstanceBlock
+from .model import InstanceBlock, Schema
 
 __all__ = [
     "EngineConfig",
@@ -136,39 +136,38 @@ def fold_runs(stage, schema, params, parts, threads: int):
 
 class PartitionedDataset:
     """Read-only dataset: a schema and ordered `InstanceBlock` partitions.
-    EngineError names a partition that is not a block, has another width
-    than the schema (or the first partition), or has a class label that the
-    schema lacks, and an instance id that occurs more than once with the
-    partitions that hold it: ids break distance ties, so they must be
-    unique."""
+    EngineError names a schema that is not a `Schema`, a partition that is
+    not a block, has another width than the schema or has a class label
+    that the schema lacks, and an instance id that occurs more than once
+    with the partitions that hold it: ids break distance ties, so they must
+    be unique."""
 
-    def __init__(self, blocks, schema=None):
+    def __init__(self, blocks, schema: Schema):
+        if not isinstance(schema, Schema):
+            raise EngineError(f"the schema is a {type(schema).__name__}, not a Schema")
         blocks = list(blocks)
         if len(blocks) < 1:
             raise ValueError("need at least one partition")
-        width = schema.num_features if schema is not None else None
         for i, block in enumerate(blocks):
             if not isinstance(block, InstanceBlock):
                 raise EngineError(f"partition {i} is a {type(block).__name__}, not an InstanceBlock")
-            width = block.values.shape[1] if width is None else width
-            if block.values.shape[1] != width:
+            if block.values.shape[1] != schema.num_features:
                 raise EngineError(
-                    f"partition {i} has {block.values.shape[1]} features, expected {width}"
+                    f"partition {i} has {block.values.shape[1]} features, expected {schema.num_features}"
                 )
-            if schema is not None:
-                bad = block.labels[(block.labels < 0) | (block.labels >= schema.num_classes)]
-                if len(bad):
-                    raise EngineError(f"partition {i} has class label {bad[0]}, outside [0, {schema.num_classes})")
+            bad = block.labels[(block.labels < 0) | (block.labels >= schema.num_classes)]
+            if len(bad):
+                raise EngineError(f"partition {i} has class label {bad[0]}, outside [0, {schema.num_classes})")
         _check_unique_ids(blocks)
         self._blocks = blocks
         self.schema = schema
 
     @classmethod
-    def from_blocks(cls, blocks, schema=None) -> "PartitionedDataset":
+    def from_blocks(cls, blocks, schema: Schema) -> "PartitionedDataset":
         return cls(blocks, schema)
 
     @classmethod
-    def split(cls, block: InstanceBlock, parts: int, schema=None) -> "PartitionedDataset":
+    def split(cls, block: InstanceBlock, parts: int, schema: Schema) -> "PartitionedDataset":
         """`block` cut into `parts` contiguous near-equal partitions."""
         blocks, at = [], 0
         for size in split_sizes(len(block), parts):

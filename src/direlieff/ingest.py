@@ -63,10 +63,13 @@ def _check_file(path: str) -> None:
 
 
 def _line_chunks(fh):
-    """Lists of about CHUNK_LINES lines of a text file, cut where
-    `str.splitlines` cuts the whole text."""
+    """Lists of up to CHUNK_LINES lines of a text file opened with universal
+    newlines, cut at "\\n" only: `str.splitlines` would also cut inside a
+    cell, at U+2028, a form feed and the like."""
     try:
-        while lines := "".join(islice(fh, CHUNK_LINES)).splitlines():
+        while (lines := "".join(islice(fh, CHUNK_LINES)).split("\n")) != [""]:
+            if not lines[-1]:  # the chunk ended in "\n"
+                lines.pop()
             yield lines
     except UnicodeDecodeError as exc:
         raise IngestError(f"{fh.name}: not UTF-8 text ({exc.reason})") from None

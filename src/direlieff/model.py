@@ -27,7 +27,6 @@ __all__ = [
     "RankConfig",
     "ModelError",
     "diff",
-    "distance",
     "feature_diffs",
     "rank_features",
 ]
@@ -123,18 +122,6 @@ class Instance:
     id: int
     label: int
     values: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.label == other.label
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.label, self.values.tobytes()))
 
 
 class InstanceBlock:
@@ -353,7 +340,7 @@ def feature_diffs(
     (1, rows, a) block against a (g, 1, a) sample block gives (g, rows, a).
     Nominal slots compare category ids for equality; numeric slots are
     range-normalized and optionally passed through the ramp.  This is the
-    single authoritative implementation: scalar `diff`, `distance`, the
+    single authoritative implementation: scalar `diff`, the
     partition-parallel neighbor search, and the sequential oracle all
     evaluate exactly these operations, which keeps their results
     bit-for-bit comparable.  `out`, if given, is a float64 array of the
@@ -402,18 +389,6 @@ def diff(
             return 1.0
         return (d - cfg.t_eq) / (cfg.t_diff - cfg.t_eq)
     return d
-
-
-def distance(
-    i1: Instance,
-    i2: Instance,
-    ranges: FeatureRange,
-    cfg: DiffConfig,
-    numeric_mask: np.ndarray,
-) -> float:
-    """Manhattan distance: the sum of per-feature diffs.  Bounded by a."""
-    row = feature_diffs(i1.values, i2.values, numeric_mask, ranges, cfg)
-    return float(np.sum(row[0]))
 
 
 def rank_features(weights: WeightVector) -> np.ndarray:

@@ -183,8 +183,6 @@ class RankResult:
 
 def rank(ds: PartitionedDataset, config: RankConfig, engine=None) -> RankResult:
     """Full pipeline: ranges, priors, samples, neighbours, weights, order."""
-    if ds.schema is None:
-        raise ValueError("ranking needs a dataset with a schema")
     engine = engine if engine is not None else LocalEngine()
     n = sum(ds.partition_lens())
     ranges = compute_ranges(ds, engine)

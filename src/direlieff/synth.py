@@ -41,6 +41,8 @@ class SynthSpec:
             raise ModelError("need at least two classes")
         if not (0.0 <= self.flip_prob < 0.5):
             raise ModelError("flip_prob must be in [0, 0.5)")
+        if self.seed < 0:
+            raise ModelError("seed must be >= 0")
 
     @property
     def num_features(self) -> int:

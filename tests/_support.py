@@ -22,6 +22,13 @@ from direlieff.model import FeatureKind, FeatureMeta, InstanceBlock, Schema, fea
 from direlieff.wire import unpack
 
 
+def numeric_schema(a: int, c: int = 2) -> Schema:
+    feats = tuple(
+        FeatureMeta(name=f"f{j}", kind=FeatureKind.NUMERIC, index=j) for j in range(a)
+    )
+    return Schema(features=feats, class_labels=tuple(f"c{i}" for i in range(c)))
+
+
 def random_mixed_block(rng: np.random.Generator, n: int, a_num: int, a_nom: int, c: int):
     """A dataset with interleaved numeric/nominal columns and assorted edge
     cases: constant columns, duplicated rows, occasionally absent classes."""

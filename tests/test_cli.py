@@ -1,12 +1,15 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import argparse
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from direlieff.cli import main
+from direlieff.cli import _addr_list, main
 from direlieff.ingest import DatasetSource, load
 from direlieff.model import RankConfig, WeightVector
 from direlieff.pipeline import rank, read_weights_csv, write_weights_csv
@@ -83,6 +86,18 @@ class TestRankCommand:
         assert code == 1
         assert "--backend cluster" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cluster_backend_takes_no_local_threads(self, tmp_path, capsys):
+        # a cluster worker's threads are its own --threads; the input is not read
+        code = main(["rank", "--input", str(tmp_path / "nope.csv"), "--backend", "cluster",
+                     "--workers", "2", "--cluster-workers", "127.0.0.1:1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --workers sets local threads; a cluster worker takes --threads\n"
+
+    def test_negative_seed_draws_samples(self, data_csv, tmp_path):
+        out = tmp_path / "weights.csv"
+        assert main(["rank", "--input", data_csv, "--m", "20", "--seed", "-5", "--output", str(out)]) == 0
+        assert len(read_weights_csv(out)) == 5
 
     def test_cluster_backend_end_to_end(self, data_csv, tmp_path):
         out_local = tmp_path / "local.csv"
@@ -337,3 +352,47 @@ class TestUsage:
             main(["rank", "--input", data_csv, "--backend", "cluster",
                   "--cluster-workers", "nocolon"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("text, want", [("a:0", [("a", 0)]), ("a:65535,b:1", [("a", 65535), ("b", 1)])])
+    def test_worker_ports_in_range(self, text, want):
+        assert _addr_list(text) == want
+
+    @pytest.mark.parametrize("text", ["a:65536", "a:70000", "a:-1"])
+    def test_worker_port_out_of_range(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="port must be in 0-65535"):
+            _addr_list(text)
+
+
+BAD_VALUES = {
+    "worker-port-high": (["worker", "--port", "70000"], 2, "argument --port: port must be in 0-65535, got 70000"),
+    "worker-port-negative": (["worker", "--port", "-1"], 2, "argument --port: port must be in 0-65535, got -1"),
+    "cluster-port-high": (["rank", "--input", "{csv}", "--backend", "cluster",
+                           "--cluster-workers", "127.0.0.1:70000"], 2, "port must be in 0-65535, got 70000"),
+    "gen-seed": (["gen", "--n", "10", "--seed", "-1", "--output", "{out}"], 1, "error: seed must be >= 0"),
+    "bench-seed": (["bench", "--axis", "n", "--points", "20,30,40", "--seed", "-1", "--output", "{out}"],
+                   1, "error: seed must be >= 0"),
+    "speedup-seed": (["speedup", "--n", "50", "--seed", "-1", "--output", "{out}"], 1, "error: seed must be >= 0"),
+    "speedup-zero-workers": (["speedup", "--n", "50", "--worker-counts", "0", "--output", "{out}"],
+                             2, "argument --worker-counts: expected comma-separated integers >= 1"),
+    "speedup-negative-workers": (["speedup", "--n", "50", "--worker-counts", "-1", "--output", "{out}"],
+                                 2, "argument --worker-counts: expected comma-separated integers >= 1"),
+    "speedup-no-workers": (["speedup", "--n", "50", "--worker-counts", ",", "--output", "{out}"],
+                           2, "argument --worker-counts: expected comma-separated integers >= 1"),
+    "cluster-local-threads": (["rank", "--input", "{csv}", "--backend", "cluster", "--workers", "2",
+                               "--cluster-workers", "127.0.0.1:1", "--output", "{out}"],
+                              1, "error: --workers sets local threads; a cluster worker takes --threads"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_value_is_a_named_error(data_csv, tmp_path, argv, code, message):
+    """Run as a user runs it: a bad value ends with its exit code and one
+    message, never a traceback, and writes no output."""
+    out = tmp_path / "out.csv"
+    argv = [a.format(csv=data_csv, out=out) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "direlieff.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import random_mixed_block, uncapped_threads, worker_thread
+from _support import numeric_schema, random_mixed_block, uncapped_threads, worker_thread
 from direlieff import engine as engine_mod
 from direlieff.cluster import ClusterEngine
 from direlieff.engine import (
@@ -243,12 +243,26 @@ class TestTakeSample:
 class TestDatasetShape:
     def test_needs_one_partition(self):
         with pytest.raises(ValueError):
-            PartitionedDataset.from_blocks([])
+            PartitionedDataset.from_blocks([], numeric_schema(2))
 
     def test_rejects_a_partition_that_is_not_a_block(self):
-        block = make_ds(4, 1).partition(0)
+        ds = make_ds(4, 1)
         with pytest.raises(EngineError, match="partition 1 is a list"):
-            PartitionedDataset.from_blocks([block, [Instance(9, 0, np.zeros(3))]])
+            PartitionedDataset.from_blocks([ds.partition(0), [Instance(9, 0, np.zeros(3))]], ds.schema)
+
+    @pytest.mark.parametrize("schema", ["x:numeric", {"features": [], "class_labels": ["a", "b"]}])
+    def test_rejects_what_is_not_a_schema(self, schema):
+        block = make_ds(4, 1).partition(0)
+        with pytest.raises(EngineError, match=f"the schema is a {type(schema).__name__}, not a Schema"):
+            PartitionedDataset([block], schema)
+
+    def test_schema_is_required(self):
+        ds = make_ds(4, 1)
+        for build in (PartitionedDataset, PartitionedDataset.from_blocks):
+            with pytest.raises(TypeError):
+                build([ds.partition(0)])
+        with pytest.raises(TypeError):
+            PartitionedDataset.split(ds.partition(0), 2)
 
     def test_rejects_a_partition_of_another_width(self):
         ds = make_ds(4, 1)
@@ -269,7 +283,7 @@ class TestDatasetShape:
         block = InstanceBlock(
             np.arange(10), np.zeros(10, dtype=np.int32), np.arange(20.0).reshape(10, 2)
         )
-        again = PartitionedDataset.split(block, 4)
+        again = PartitionedDataset.split(block, 4, numeric_schema(2))
         assert again.num_partitions == 4
         assert isinstance(again.partition(0), InstanceBlock)
         assert np.array_equal(
@@ -291,7 +305,7 @@ class TestDatasetShape:
         n = len(ids)
         block = InstanceBlock(ids, np.arange(n) % 2, np.arange(2.0 * n).reshape(n, 2))
         with pytest.raises(EngineError, match=re.escape(want)):
-            PartitionedDataset.split(block, partitions)
+            PartitionedDataset.split(block, partitions, numeric_schema(2))
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):

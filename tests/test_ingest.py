@@ -1,5 +1,6 @@
 """File loading: inference rules, sidecar overrides, and error reporting."""
 
+import csv
 import json
 import math
 import string
@@ -23,6 +24,8 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+# characters that str.splitlines cuts at besides "\n", "\r" and "\r\n"
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 TOY = "x,y,label\n1.0,a,y\n2,b,n\n3.5,a,y\n0.5,b,n\n"
 
 
@@ -194,6 +197,16 @@ class TestLoadLibsvm:
             write(tmp_path, "t.libsvm", "1 1:1.0\n\n0 1:2.0\n"), format="libsvm"
         )
         assert len(load(src).partition(0)) == 2
+
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+    def test_only_newlines_end_lines(self, tmp_path, sep):
+        # such a character is whitespace between pairs, not a line end
+        text = f"1 1:0.5{sep}2:1.0\n0 2:3.0\n1 1:x\n"
+        src = DatasetSource(write(tmp_path, "t.libsvm", text), format="libsvm")
+        with pytest.raises(IngestError, match=r"t\.libsvm:3: malformed pair '1:x'"):
+            load(src)
+        src = DatasetSource(write(tmp_path, "t.libsvm", text.rpartition("1 1:x")[0]), format="libsvm")
+        assert load(src).partition(0).values.tolist() == [[0.5, 1.0], [0.0, 3.0]]
 
     def test_malformed_pair_reports_line(self, tmp_path):
         src = DatasetSource(write(tmp_path, "t.libsvm", "1 1:1.0\n0 oops\n"), format="libsvm")
@@ -393,9 +406,9 @@ class TestChunkedReader:
         got = np.concatenate([whole.partition(i).values[:, 1] for i in range(3)])
         assert got.tolist() == [float(table[c]) for c in cells]
 
-    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\x0c"])
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
     def test_other_line_breaks(self, tmp_path, newline):
-        # lines break where str.splitlines breaks them, and the row count
+        # universal newlines read "\r" and "\r\n" as "\n", and the row count
         # may outgrow the storage sized from the "\n" count
         text = "a,b,label\n" + "".join(f"{i}.25,{'pq'[i % 2]},{'yn'[i % 3 % 2]}\n" for i in range(30))
         want = load(DatasetSource(write(tmp_path, "a.csv", text)), 2)
@@ -405,6 +418,31 @@ class TestChunkedReader:
         for i in range(2):
             assert np.array_equal(got.partition(i).values, want.partition(i).values)
             assert np.array_equal(got.partition(i).labels, want.partition(i).labels)
+
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+    def test_only_newlines_end_lines(self, tmp_path, sep):
+        # a nominal cell holding a character that str.splitlines cuts at is
+        # one cell, as csv.reader reads it; column a turns nominal in the
+        # last chunk, so its earlier rows are read again
+        rows = [f"{i}.5,{f'p{sep}q' if i % 3 == 0 else 'r'},{'yn'[i % 2]}" for i in range(9)] + ["x,r,n"]
+        path = write(tmp_path, "t.csv", "a,b,label\n" + "\n".join(rows) + "\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = [row[1] for row in csv.reader(fh)][1:]
+        assert cells.count(f"p{sep}q") == 3
+        with mock.patch.object(ingest, "CHUNK_LINES", 4):
+            block = load(DatasetSource(path)).partition(0)
+        assert block.values[:, 0].tolist() == list(range(10))
+        assert block.values[:, 1].tolist() == [float(cell == "r") for cell in cells]
+
+    @pytest.mark.parametrize("chunk", [1, 4, 512])
+    @pytest.mark.parametrize("line", [3, 5, 12])
+    def test_blank_line_reports_its_line(self, tmp_path, chunk, line):
+        lines = ["a,b,label"] + self.ROWS + [""]
+        lines.insert(line - 1, "")
+        csv_path = write(tmp_path, "t.csv", "\n".join(lines))
+        with mock.patch.object(ingest, "CHUNK_LINES", chunk):
+            with pytest.raises(IngestError, match=rf"t\.csv:{line}: expected 3 cells, found 1$"):
+                load(DatasetSource(csv_path))
 
     def test_peak_memory_is_a_small_multiple_of_the_dataset(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -40,14 +40,7 @@ from direlieff.pipeline import (
 from direlieff.reference import relieff_sequential
 from direlieff.synth import SynthSpec, make_dataset
 
-from _support import grid_entries, random_mixed_block, uncapped_threads
-
-
-def numeric_schema(a: int, c: int = 2) -> Schema:
-    feats = tuple(
-        FeatureMeta(name=f"f{j}", kind=FeatureKind.NUMERIC, index=j) for j in range(a)
-    )
-    return Schema(features=feats, class_labels=tuple(f"c{i}" for i in range(c)))
+from _support import grid_entries, numeric_schema, random_mixed_block, uncapped_threads
 
 
 def tiny_dataset(values, labels, schema, partitions=1):
@@ -367,9 +360,8 @@ class TestRank:
         assert np.max(np.abs(result.weights.values)) < 0.05
 
     def test_requires_schema(self):
-        ds = PartitionedDataset.from_blocks([InstanceBlock([0], [0], [[0.0]])])
-        with pytest.raises(ValueError, match="schema"):
-            rank(ds, RankConfig(m=1, k=1, seed=0))
+        with pytest.raises(EngineError, match="the schema is a NoneType, not a Schema"):
+            PartitionedDataset.from_blocks([InstanceBlock([0], [0], [[0.0]])], None)
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_label_outside_schema_named(self, label):
