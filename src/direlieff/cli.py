@@ -12,47 +12,56 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
-import numpy as np
+# A CLI process runs with one BLAS thread.  numpy's bundled OpenBLAS starts
+# its thread pool as numpy loads, and the pool's threads spin on the CPU,
+# yet the only BLAS call in direlieff is `np.polyfit` on three points in
+# `bench`.  A value the user has set still wins, and a process that loaded
+# numpy before this module, such as a library user's, is left as it is.
+# This cannot wait for `main()`: `python -m direlieff.cli` imports the
+# package first, which is why the package loads its modules lazily.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .bench import (
-    BenchError,
-    scaling_sweep,
-    speedup_sweep,
-    stability_curve,
-    write_plot_data,
-    write_report_csv,
-)
-from .cluster import ClusterEngine, serve_worker
-from .engine import EngineConfig, EngineError, LocalEngine
-from .ingest import DatasetSource, IngestError, load
-from .model import DiffConfig, DiffMode, InstanceBlock, ModelError, RankConfig
-from .pipeline import rank, write_weights_csv
-from .reference import relieff_sequential
-from .synth import SynthSpec, gen_synthetic, make_dataset
+import numpy as np  # noqa: E402
+
+from .engine import EngineConfig, EngineError, LocalEngine  # noqa: E402
+from .ingest import DatasetSource, IngestError, load  # noqa: E402
+from .model import DiffConfig, DiffMode, InstanceBlock, ModelError, RankConfig  # noqa: E402
+from .pipeline import rank, write_weights_csv  # noqa: E402
+from .reference import relieff_sequential  # noqa: E402
+from .synth import SynthSpec, gen_synthetic, make_dataset  # noqa: E402
 
 __all__ = ["main", "build_parser"]
 
 ORACLE_TOLERANCE = 1e-12
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
 def _port(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if not 0 <= value <= 65535:
         raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {value}")
     return value
@@ -83,8 +92,8 @@ def _addr_list(text: str) -> list[tuple[str, int]]:
             raise argparse.ArgumentTypeError(f"worker address {tok!r} is not host:port")
         try:
             out.append((host, _port(port)))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"worker address {tok!r} has a bad port")
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"worker address {tok!r}: {exc}")
     if not out:
         raise argparse.ArgumentTypeError("empty worker address list")
     return out
@@ -222,6 +231,8 @@ def _cmd_rank(args) -> int:
     engine_cfg = EngineConfig(workers=args.workers)
     with contextlib.ExitStack() as stack:
         if args.backend == "cluster":
+            from .cluster import ClusterEngine
+
             engine = stack.enter_context(ClusterEngine(args.cluster_workers, engine_cfg))
         else:
             engine = LocalEngine(engine_cfg)
@@ -254,6 +265,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
+    from .bench import scaling_sweep, write_plot_data, write_report_csv
+
     if len(args.points) < 3:
         parser.error("bench --points needs at least 3 values")
     rows, r2 = scaling_sweep(
@@ -280,6 +293,8 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_speedup(args) -> int:
+    from .bench import speedup_sweep, write_report_csv
+
     partitions = args.partitions if args.partitions is not None else max(args.worker_counts)
     spec = SynthSpec(
         n=args.n, informative=min(5, args.features), noise=args.features - min(5, args.features),
@@ -297,6 +312,8 @@ def _cmd_speedup(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from .bench import stability_curve, write_report_csv
+
     ds = _load_dataset(args)
     pairs = [(args.seed + 2 * j, args.seed + 2 * j + 1) for j in range(args.pairs)]
     rows = stability_curve(
@@ -325,10 +342,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_worker(args) -> int:
+    from .cluster import serve_worker
+
     def announce(host, port):
         print(f"listening {host}:{port}", flush=True)
 
     return serve_worker(args.host, args.port, threads=args.threads, on_listen=announce)
+
+
+def _reported_errors() -> tuple:
+    """What a command reports as an `error:` line.  `BenchError` joins once
+    `bench` is loaded: only the commands that import it can raise it."""
+    bench = sys.modules.get("direlieff.bench")
+    return (IngestError, ModelError, EngineError, OSError) + ((bench.BenchError,) if bench else ())
 
 
 def main(argv=None) -> int:
@@ -350,7 +376,7 @@ def main(argv=None) -> int:
         if args.command == "worker":
             return _cmd_worker(args)
         parser.error(f"unknown command {args.command!r}")
-    except (IngestError, ModelError, EngineError, BenchError, OSError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

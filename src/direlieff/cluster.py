@@ -82,37 +82,42 @@ class ClusterError(EngineError):
 # -- framing ----------------------------------------------------------------
 
 
-def encode_frame(tag: int, payload: bytes) -> bytes:
+def _frame_head(tag: int, length: int) -> bytes:
     if tag not in _KNOWN_TAGS:
         raise ClusterError(f"unknown message tag {tag}")
-    if len(payload) > _MAX_FRAME_PAYLOAD:
-        raise ClusterError(f"payload of {len(payload)} bytes exceeds the 4-byte frame limit")
-    return _FRAME_HEAD.pack(len(payload), tag) + payload
+    if length > _MAX_FRAME_PAYLOAD:
+        raise ClusterError(f"payload of {length} bytes exceeds the 4-byte frame limit")
+    return _FRAME_HEAD.pack(length, tag)
 
 
-def _recvall(conn: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n:
-        chunk = conn.recv(min(n, 1 << 20))
-        if not chunk:
+def encode_frame(tag: int, payload: bytes) -> bytes:
+    return _frame_head(tag, len(payload)) + payload
+
+
+def _recvall(conn: socket.socket, n: int) -> bytearray:
+    """The next `n` bytes on `conn`, received straight into one buffer."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        size = conn.recv_into(view[got:])
+        if not size:
             raise ConnectionError("connection closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+        got += size
+    return buf
 
 
 def read_frame(conn: socket.socket, max_result: int = _MAX_FRAME_PAYLOAD):
-    """(tag, payload) of the next frame on `conn`.  ClusterError, before
-    any of the payload is read, on an unknown tag or a STAGE_RESULT payload
-    longer than `max_result` bytes; ConnectionError if the peer hangs up
-    inside the frame."""
+    """(tag, payload) of the next frame on `conn`, the payload a bytearray.
+    ClusterError, before any of the payload is read, on an unknown tag or a
+    STAGE_RESULT payload longer than `max_result` bytes; ConnectionError if
+    the peer hangs up inside the frame."""
     length, tag = _FRAME_HEAD.unpack(_recvall(conn, _FRAME_HEAD.size))
     if tag not in _KNOWN_TAGS:
         raise ClusterError(f"unknown message tag {tag}")
     if tag == MSG_STAGE_RESULT and length > max_result:
         raise ClusterError(f"STAGE_RESULT of {length} bytes exceeds cap {max_result}")
-    payload = _recvall(conn, length) if length else b""
-    return tag, payload
+    return tag, _recvall(conn, length)
 
 
 def _send(conn: socket.socket, tag: int, payload: bytes = b"") -> None:
@@ -124,16 +129,25 @@ def _pack_named(name: str, body: bytes) -> bytes:
     return struct.pack("!i", len(raw)) + raw + body
 
 
-def _unpack_named(payload: bytes):
-    """(name, body) of a `_pack_named` payload; ValueError on a payload too
-    short for the name length, a length outside the payload, or a name that
-    is not UTF-8 (`UnicodeDecodeError` is a ValueError)."""
+def _named_frame(tag: int, name: str, body: bytes) -> bytes:
+    """`encode_frame(tag, _pack_named(name, body))`, which copies `body`
+    once here rather than twice."""
+    raw = name.encode("utf-8")
+    head = _frame_head(tag, 4 + len(raw) + len(body))
+    return b"".join((head, struct.pack("!i", len(raw)), raw, body))
+
+
+def _unpack_named(payload):
+    """(name, body) of a `_pack_named` payload, the body a read-only view
+    of `payload`; ValueError on a payload too short for the name length, a
+    length outside the payload, or a name that is not UTF-8
+    (`UnicodeDecodeError` is a ValueError)."""
     if len(payload) < 4:
         raise ValueError(f"named payload of {len(payload)} bytes has no name length")
     (nlen,) = struct.unpack_from("!i", payload, 0)
     if not 0 <= nlen <= len(payload) - 4:
         raise ValueError(f"name length {nlen} outside the {len(payload) - 4} bytes after it")
-    return payload[4 : 4 + nlen].decode("utf-8"), payload[4 + nlen :]
+    return payload[4 : 4 + nlen].decode("utf-8"), memoryview(payload).toreadonly()[4 + nlen :]
 
 
 # -- worker -------------------------------------------------------------------
@@ -171,8 +185,9 @@ def decode_assignment(payload: bytes):
     return schema, parts
 
 
-def _worker_run_stage(assignment, payload: bytes, threads: int) -> bytes:
-    """The named stage's result on `decode_assignment`'s partitions (None: no assignment yet)."""
+def _worker_run_stage(assignment, payload, threads: int):
+    """(name, encoded result) of the named stage on `decode_assignment`'s
+    partitions (None: no assignment yet)."""
     name, body = _unpack_named(payload)
     stage = STAGES.get(name)
     if stage is None:
@@ -182,7 +197,7 @@ def _worker_run_stage(assignment, payload: bytes, threads: int) -> bytes:
     schema, assigned = assignment
     params = stage.decode_params(body, schema)
     result = fold_runs(stage, schema, params, assigned, threads)
-    return _pack_named(name, stage.encode_result(result, schema))
+    return name, stage.encode_result(result, schema)
 
 
 def serve_worker(host: str, port: int, threads: int = 1, *, on_listen=None) -> int:
@@ -218,12 +233,12 @@ def serve_worker(host: str, port: int, threads: int = 1, *, on_listen=None) -> i
                 try:
                     if tag == MSG_ASSIGN_PARTITIONS:
                         assignment = decode_assignment(payload)
-                        reply = _pack_named("assign", pack(np.array([sum(len(b) for _, b in assignment[1])])))
+                        name, body = "assign", pack(np.array([sum(len(b) for _, b in assignment[1])]))
                     elif tag == MSG_RUN_STAGE:
-                        reply = _worker_run_stage(assignment, payload, threads)
+                        name, body = _worker_run_stage(assignment, payload, threads)
                     else:
                         raise ClusterError(f"unexpected message tag {tag} on worker")
-                    frame = encode_frame(MSG_STAGE_RESULT, reply)
+                    frame = _named_frame(MSG_STAGE_RESULT, name, body)
                 except Exception as exc:
                     detail = "".join(traceback.format_exception_only(exc)).strip()
                     frame = encode_frame(MSG_ERROR, detail.encode("utf-8"))
@@ -315,7 +330,7 @@ class ClusterEngine:
             self.close()
             raise ClusterError(f"worker {name}: {exc}") from exc
 
-    def _expect_result(self, conn: socket.socket, name: str, stage_name: str, cap: int = _MAX_FRAME_PAYLOAD) -> bytes:
+    def _expect_result(self, conn: socket.socket, name: str, stage_name: str, cap: int = _MAX_FRAME_PAYLOAD):
         tag, payload = self._read(conn, name, cap)
         if tag == MSG_ERROR:
             self.close()

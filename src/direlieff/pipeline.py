@@ -152,18 +152,18 @@ def compute_weights(
     Per-sample terms are accumulated in sample-id order, not draw order, so
     two draws covering the same instances give bit-identical weights.
     """
-    c, m, a = sdif.shape
-    total = np.zeros(a)
-    for i in np.argsort(samples.ids).tolist():
-        cl = int(samples.labels[i])
-        term = -sdif[cl, i]
-        p_cl = priors.prior(cl)
-        denom = 1.0 - p_cl
-        if denom > 0.0:
-            for ci in range(c):
-                if ci == cl or priors.counts[ci] == 0:
-                    continue
-                term = term + (priors.prior(ci) / denom) * sdif[ci, i]
+    order = np.argsort(samples.ids)
+    labels = samples.labels[order]
+    terms = -sdif[labels, order]
+    denom = 1.0 - priors.priors[labels]
+    # each class in ascending order adds its term to the rows it weighs in,
+    # as a per-sample loop would: the same operations in the same order
+    for ci in np.flatnonzero(priors.counts).tolist():
+        rows = (labels != ci) & (denom > 0.0)
+        terms[rows] += (priors.prior(ci) / denom[rows])[:, None] * sdif[ci, order[rows]]
+    # row by row from zeros: np.sum would add pairwise and change the bits
+    total = np.zeros(sdif.shape[2])
+    for term in terms:
         total += term
     return WeightVector(total / len(samples))
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -378,6 +379,8 @@ BAD_VALUES = {
                                  2, "argument --worker-counts: expected comma-separated integers >= 1"),
     "speedup-no-workers": (["speedup", "--n", "50", "--worker-counts", ",", "--output", "{out}"],
                            2, "argument --worker-counts: expected comma-separated integers >= 1"),
+    "stability-no-m": (["stability", "--input", "{csv}", "--m-values", ",", "--output", "{out}"],
+                       1, "error: need at least one sample size"),
     "cluster-local-threads": (["rank", "--input", "{csv}", "--backend", "cluster", "--workers", "2",
                                "--cluster-workers", "127.0.0.1:1", "--output", "{out}"],
                               1, "error: --workers sets local threads; a cluster worker takes --threads"),
@@ -394,5 +397,32 @@ def test_bad_value_is_a_named_error(data_csv, tmp_path, argv, code, message):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == code
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+NOT_AN_INTEGER = {
+    "_positive_int": (["rank", "--input", "{csv}", "--m", "abc"], "argument --m: expected an integer, got 'abc'"),
+    "_nonneg_int": (["gen", "--n", "10", "--noise", "x", "--output", "{out}"],
+                    "argument --noise: expected an integer, got 'x'"),
+    "_port": (["worker", "--port", "x"], "argument --port: expected an integer, got 'x'"),
+    "_int_list": (["bench", "--axis", "n", "--points", "1,x,3", "--output", "{out}"],
+                  "argument --points: expected comma-separated integers, got '1,x,3'"),
+    "_positive_int_list": (["speedup", "--worker-counts", "2,y", "--output", "{out}"],
+                           "argument --worker-counts: expected comma-separated integers, got '2,y'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", NOT_AN_INTEGER.values(), ids=NOT_AN_INTEGER.keys())
+def test_usage_error_names_the_expected_form(data_csv, tmp_path, argv, message):
+    """A value that is not an integer is a usage error (exit 2) that says
+    what was expected, and names no private function of the CLI."""
+    out = tmp_path / "out.csv"
+    argv = [a.format(csv=data_csv, out=out) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "direlieff.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert re.search(r"(?<!\w)_\w", proc.stderr) is None
     assert "Traceback" not in proc.stderr
     assert not out.exists()

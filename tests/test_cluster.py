@@ -76,6 +76,49 @@ class TestFraming:
         with pytest.raises(ClusterError, match="tag"):
             encode_frame(0, b"")
 
+    @pytest.mark.parametrize("cut", [0, 1, 1 << 19])
+    def test_large_frame_over_a_socket(self, cut):
+        """A frame larger than the socket's buffers arrives whole while it
+        is still being sent; cut short by `cut` bytes, it fails mid-frame."""
+        payload = np.random.default_rng(0).bytes(3 << 20)
+        frame = encode_frame(MSG_STAGE_RESULT, payload)
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            receiver.settimeout(30)
+
+            def send():
+                sender.sendall(frame[: len(frame) - cut])
+                sender.shutdown(socket.SHUT_WR)
+
+            thread = threading.Thread(target=send)
+            thread.start()
+            try:
+                if cut:
+                    with pytest.raises(ConnectionError, match="mid-frame"):
+                        read_frame(receiver)
+                else:
+                    assert read_frame(receiver) == (MSG_STAGE_RESULT, payload)
+                    assert receiver.recv(1) == b""
+            finally:
+                thread.join(timeout=30)
+
+    @pytest.mark.parametrize("name, body", [("assign", b""), ("neighbors", bytes(range(256)) * 5000)],
+                             ids=["empty", "1.2MiB"])
+    def test_named_frame(self, name, body):
+        """The worker's one-copy reply frame is the frame of the named
+        payload, and the body comes back as a read-only view."""
+        frame = cluster._named_frame(MSG_STAGE_RESULT, name, body)
+        assert frame == encode_frame(MSG_STAGE_RESULT, cluster._pack_named(name, body))
+        got_name, got_body = cluster._unpack_named(bytearray(frame[5:]))
+        assert (got_name, got_body) == (name, body)
+        assert isinstance(got_body, memoryview) and got_body.readonly
+
+    def test_named_frame_over_frame_limit(self, monkeypatch):
+        monkeypatch.setattr(cluster, "_MAX_FRAME_PAYLOAD", 100)
+        assert len(cluster._named_frame(MSG_STAGE_RESULT, "x", b"\x00" * 95)) == 5 + 100
+        with pytest.raises(ClusterError, match="101 bytes exceeds the 4-byte frame limit"):
+            cluster._named_frame(MSG_STAGE_RESULT, "x", b"\x00" * 96)
+
     @settings(max_examples=200, deadline=None)
     @given(
         tag=st.sampled_from(range(1, 7)),
@@ -214,7 +257,7 @@ class TestClusterRuns:
                 rank(mixed_dataset, RankConfig(m=60, k=10, seed=1), engine=eng)
             assert eng._conns == []  # the driver hung up, which ends the session
 
-    @pytest.mark.parametrize("mangle", [lambda b: b[:10], lambda b: b[:-1], lambda b: b + b"\x00"])
+    @pytest.mark.parametrize("mangle", [lambda b: b[:10], lambda b: b[:-1], lambda b: bytes(b) + b"\x00"])
     def test_malformed_result_names_worker(self, mixed_dataset, mangle):
         class Mangled:
             """The neighbour stage as the worker runs it; its result bytes

@@ -309,6 +309,36 @@ class TestComputeWeights:
         w2 = compute_weights(sdif[:, perm], samples.take(perm), priors)
         assert np.array_equal(w1.values, w2.values)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bits_of_the_per_sample_loop(self, seed):
+        """The vectorised fold gives the bits of one term per sample, built
+        class by class and added in sample-id order from zeros; cases cover
+        an absent class, a sample class of prior 1, and columns of -0.0."""
+        rng = np.random.default_rng(seed)
+        c, m, a = int(rng.integers(1, 6)), int(rng.integers(1, 50)), int(rng.integers(1, 30))
+        labels = rng.integers(0, c, m)
+        counts = np.bincount(labels, minlength=c) + rng.integers(0, 4, c) * (rng.random(c) < 0.7)
+        if seed % 4 == 0:
+            labels[:] = labels[0]
+            counts[:] = 0
+            counts[labels[0]] = m
+        sdif = rng.random((c, m, a)) * (rng.random((c, m, a)) < 0.8)
+        sdif[..., : a // 3] = -0.0
+        samples = InstanceBlock(rng.permutation(10 * m)[:m], labels, np.zeros((m, a)))
+        priors = ClassPriors(counts)
+        want = np.zeros(a)
+        for i in np.argsort(samples.ids).tolist():
+            cl = int(samples.labels[i])
+            term = -sdif[cl, i]
+            denom = 1.0 - priors.prior(cl)
+            if denom > 0.0:
+                for ci in range(c):
+                    if ci != cl and priors.counts[ci]:
+                        term = term + (priors.prior(ci) / denom) * sdif[ci, i]
+            want += term
+        want /= m
+        assert compute_weights(sdif, samples, priors).values.tobytes() == want.tobytes()
+
 
 class TestRank:
     def test_matches_reference_when_m_equals_n(self):
