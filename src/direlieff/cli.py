@@ -68,17 +68,39 @@ def _port(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma-separated integers >= 1; empty items are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    bad = [v for v in values if v < 1]
+    if bad:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {bad[0]} in {text!r}")
+    return values
 
 
 def _positive_int_list(text: str) -> list[int]:
     values = _int_list(text)
-    if not values or min(values) < 1:
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {text!r}")
     return values
+
+
+# argparse reads a value that starts with "-" and is not one plain number,
+# such as "-1,3,4", as an option, so that a list flag given it would end in
+# "expected one argument"; `_join_list_values` joins such a value to its
+# flag, and the flag's type names it.
+_LIST_FLAGS = ("--points", "--m-values", "--worker-counts")
+
+
+def _join_list_values(argv) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _addr_list(text: str) -> list[tuple[str, int]]:
@@ -143,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p_rank)
     _add_rank_flags(p_rank)
     p_rank.add_argument("--workers", type=_positive_int, default=1,
-                        help="local threads; a cluster worker takes --threads")
+                        help="local processes a stage runs in, at most one per core; "
+                             "a cluster worker takes --threads")
     p_rank.add_argument("--backend", choices=("local", "cluster"), default="local")
     p_rank.add_argument("--cluster-workers", type=_addr_list, default=None,
                         help="comma-separated host:port list")
@@ -202,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker = sub.add_parser("worker", help="run a cluster worker")
     p_worker.add_argument("--host", default="127.0.0.1")
     p_worker.add_argument("--port", type=_port, default=0, help="0-65535; 0 picks a free port")
-    p_worker.add_argument("--threads", type=_positive_int, default=1)
+    p_worker.add_argument("--threads", type=_positive_int, default=1,
+                          help="processes this worker runs a stage in, at most one per core")
 
     return parser
 
@@ -224,7 +248,7 @@ def _cmd_rank(args) -> int:
         print("error: --cluster-workers requires --backend cluster", file=sys.stderr)
         return 1
     if args.backend == "cluster" and args.workers > 1:
-        print("error: --workers sets local threads; a cluster worker takes --threads", file=sys.stderr)
+        print("error: --workers sets local processes; a cluster worker takes --threads", file=sys.stderr)
         return 1
     ds = _load_dataset(args)
     config = _rank_config(args)
@@ -359,7 +383,7 @@ def _reported_errors() -> tuple:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "rank":
             return _cmd_rank(args)

@@ -11,9 +11,10 @@ Frame layout: 4-byte big-endian payload length, 1-byte type tag, payload.
 REGISTER is the JSON object {"protocol": PROTOCOL_VERSION}, here 3.  Past
 it and the stage names, payloads are `wire` arrays.  ASSIGN_PARTITIONS
 holds the schema as JSON, each partition's global index and row count,
-then the partitions' ids, labels and values (`encode_assignment`).  Each
-worker thread folds its contiguous run of partitions from one zero
-(`fold_runs`); the worker combines its threads' results, and the driver
+then the partitions' ids, labels and values (`encode_assignment`).  A
+worker runs a stage in up to `--threads` processes, itself and forked
+children, each folding a contiguous run of partitions from one zero
+(`fold_runs`); the worker combines its processes' results, and the driver
 the workers', in partition order.  The driver enforces
 `EngineConfig.max_result_bytes`: it reads a STAGE_RESULT header and
 rejects a result over the cap before it reads the payload.  Error policy

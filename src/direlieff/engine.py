@@ -2,19 +2,23 @@
 
 A dataset is a schema plus an ordered list of `InstanceBlock` partitions.
 The engine has one action, `run_stage`: the partitions are cut into one
-contiguous run per worker thread, each thread folds its run of partitions
-from one zero, and the runs' results are combined on the driver in
-partition order (`fold_runs`).  A stage whose fold and combiner are exact
-and associative, as every registered stage's are, yields a result
-independent of the thread count and of how the rows are partitioned.
+contiguous run per worker process, each process folds its run of
+partitions from one zero, the caller's own process the first run and a
+forked child each other, and the runs' results are combined on the driver
+in partition order (`fold_runs`).  A stage whose fold and combiner are
+exact and associative, as every registered stage's are, yields a result
+independent of the process count and of how the rows are partitioned.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import os
+import pickle
 import random
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +49,8 @@ class EmptyDatasetError(EngineError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """`workers` is the most threads a stage runs on; `fold_runs` uses no
-    more threads than the process has cores.  `max_result_bytes` is the
+    """`workers` is the most processes a stage runs in; `fold_runs` uses no
+    more processes than the caller has cores.  `max_result_bytes` is the
     cluster driver's cap on each worker's STAGE_RESULT payload for a stage,
     whose stage name adds 4 + len(name) bytes; `LocalEngine` ignores it,
     since a local result is never encoded."""
@@ -97,28 +101,39 @@ def draw_sample_positions(n: int, m: int, seed: int) -> list[int]:
     return out
 
 
-def fold_runs(stage, schema, params, parts, threads: int):
+def fold_runs(stage, schema, params, parts, workers: int):
     """`stage` folded over `parts`, (partition index, block) pairs in
-    ascending index order, on at most `threads` threads, and on no more
-    threads than the process has cores (`available_cores`).
+    ascending index order, in at most `workers` processes, and in no more
+    processes than this one has cores (`available_cores`), which more
+    processes would only take turns on; a `light` stage in this process
+    alone.
 
     The parts are cut into that many contiguous runs, at most one per part
-    (`split_sizes`).  Each thread folds one run in order into one
-    `make_zero` with `run_block`, and the runs' results are combined with
-    `comb` in order; no parts gives the zero.  For every registered stage
-    this equals folding each partition from a fresh zero and combining in
-    partition order: ranges and priors are exact, fetched rows concatenate
-    in order, and the neighbour order is total.  One accumulator per thread
-    spares the neighbour stage a merge per partition and, once its cells
-    are full, the k-th cut.
+    (`split_sizes`).  Each run is folded in order into one `make_zero` with
+    `run_block`, and the runs' results are combined with `comb` in order;
+    no parts gives the zero.  For every registered stage this equals
+    folding each partition from a fresh zero and combining in partition
+    order: ranges and priors are exact, fetched rows concatenate in order,
+    and the neighbour order is total.  One accumulator per run spares the
+    neighbour stage a merge per partition and, once its cells are full, the
+    k-th cut.
 
-    The core cap: every numpy call takes the GIL, and a thread that holds
-    it while it waits for a core stalls the others.  On 2 vCPUs (numpy
-    2.4), a rank of 1M x 20 rows in four partitions took 0.53 s on 4
-    threads and 0.47 s on 2.
+    The caller folds the first run; each other run is folded by a child
+    forked for it (`_fork_run`), which shares the blocks copy-on-write and
+    sends its result back (`_receive`).  A child's exception is raised here
+    with its type and message.  A child that ends without a result, or a
+    failure of the caller's own run, is an EngineError or that failure once
+    every child is killed and reaped: no child outlives the call.  Processes,
+    not threads: each numpy call of the neighbour pass is short, about 25
+    us on `local_rank`'s 100k-element calls, and two threads hand the GIL to
+    each other at every one.  On 2 vCPUs (numpy 2.4) half of that pass took
+    61 ms in one process, 64-67 ms in each of two processes at once and 121
+    ms on two threads.  Where `os.fork` does not exist, the runs are folded
+    here one after another.
     """
     runs, at = [], 0
-    for size in split_sizes(len(parts), max(1, min(threads, available_cores(), len(parts)))):
+    processes = 1 if stage.light else min(workers, available_cores(), len(parts))
+    for size in split_sizes(len(parts), max(1, processes)):
         runs.append(parts[at : at + size])
         at += size
 
@@ -128,10 +143,134 @@ def fold_runs(stage, schema, params, parts, threads: int):
             acc = stage.run_block(acc, block, params, schema, index)
         return acc
 
-    if len(runs) == 1:
-        return fold(runs[0])
-    with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-        return functools.reduce(stage.comb, pool.map(fold, runs))
+    if len(runs) == 1 or not hasattr(os, "fork"):
+        return functools.reduce(stage.comb, map(fold, runs))
+    children = []  # (pid, read end) of the children not yet reaped, in run order
+    try:
+        for run in runs[1:]:
+            children.append(_fork_run(fold, run, [fd for _, fd in children]))
+        result = fold(runs[0])
+        for number, run in enumerate(runs[1:], start=2):
+            reply = _receive(children[0][1])
+            status = _reap(children.pop(0), kill=False)
+            if reply is None:
+                where = f"partitions {run[0][0]}-{run[-1][0]}"
+                raise EngineError(f"run {number} of {len(runs)} ({where}) ended without a result: {_ending(status)}")
+            done, value = reply
+            if not done:
+                raise value
+            result = stage.comb(result, value)
+        return result
+    finally:
+        for child in children:
+            _reap(child, kill=True)
+
+
+# A reply: its pickle's length and its out-of-band buffer count, the
+# buffers' lengths, the pickle, then the buffers.
+_REPLY_HEAD = struct.Struct("!QQ")
+
+
+def _fork_run(fold, run, inherited) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a child that folds `run` and sends
+    back (True, result) or (False, exception), then exits; the child
+    closes the `inherited` read ends, the other children's, so that none is
+    held open past its parent."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        for fd in inherited:
+            os.close(fd)
+        try:
+            reply = (True, fold(run))
+        except BaseException as exc:
+            reply = (False, _portable(exc))
+        try:
+            frames = _frames(reply)
+        except Exception as exc:  # a result that pickle cannot send
+            frames = _frames((False, EngineError(f"run result {type(reply[1]).__name__} cannot be sent: {exc!r}")))
+        with open(w, "wb") as out:
+            for frame in frames:
+                out.write(frame)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """`exc` if it survives a pickle round trip, else an EngineError
+    carrying its repr."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return EngineError(repr(exc))
+
+
+def _frames(obj) -> list:
+    """`obj` pickled with protocol 5 as the frames of a reply: large
+    contiguous arrays go out of band, as raw views of their memory."""
+    buffers = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    raws = [buf.raw() for buf in buffers]
+    head = _REPLY_HEAD.pack(len(data), len(raws)) + struct.pack(f"!{len(raws)}Q", *(r.nbytes for r in raws))
+    return [head, data, *raws]
+
+
+def _receive(fd: int):
+    """The reply read from `fd`, each out-of-band buffer read straight into
+    the array that unpickling then wraps; None if the pipe ends first."""
+    pipe = io.FileIO(fd, "rb", closefd=False)
+
+    def read(n: int) -> np.ndarray:
+        buf = np.empty(n, np.uint8)
+        view, got = memoryview(buf), 0
+        while got < n:
+            size = pipe.readinto(view[got:])
+            if not size:
+                raise EOFError
+            got += size
+        return buf
+
+    try:
+        size, count = _REPLY_HEAD.unpack(read(_REPLY_HEAD.size))
+        lengths = struct.unpack(f"!{count}Q", read(8 * count))
+        data = read(size)
+        buffers = [read(n) for n in lengths]
+    except EOFError:
+        return None
+    return pickle.loads(data, buffers=buffers)
+
+
+def _reap(child: tuple[int, int], kill: bool):
+    """The wait status of the child `(pid, read end)`, SIGKILLed first if
+    `kill`; its read end is closed.  None if something else reaped it."""
+    pid, fd = child
+    os.close(fd)
+    try:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        return os.waitpid(pid, 0)[1]
+    except (ChildProcessError, ProcessLookupError):
+        return None
+
+
+def _ending(status) -> str:
+    if status is None:
+        return "its exit status is unknown"
+    if os.WIFSIGNALED(status):
+        return f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    return f"exit code {os.waitstatus_to_exitcode(status)}"
 
 
 class PartitionedDataset:
@@ -201,19 +340,20 @@ def _check_unique_ids(blocks) -> None:
 
 
 class LocalEngine:
-    """Runs stages over a dataset's partitions with a thread pool.
+    """Runs stages over a dataset's partitions in forked processes.
 
-    Each thread's result, the fold of its contiguous run of partitions, is
-    combined sequentially on the driver in partition order.  The pool has
-    `config.workers` threads, but no more than the cores (`fold_runs`).
-    Results stay in the process, so no stage codec is called.
+    Each process's result, the fold of its contiguous run of partitions, is
+    combined sequentially on the driver in partition order.  A stage runs
+    in `config.workers` processes, the driver's own among them, but in no
+    more than the cores (`fold_runs`).  A child's result comes back
+    pickled, so no stage codec is called.
     """
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
 
     def run_stage(self, ds: PartitionedDataset, stage, params):
-        """Run a registered stage with `fold_runs`: each thread's
+        """Run a registered stage with `fold_runs`: each process's
         contiguous run of partitions from one zero, then the stage combiner
         in run order."""
         parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]

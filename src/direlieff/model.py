@@ -128,7 +128,7 @@ class InstanceBlock:
     """A contiguous batch of instances stored column-wise for fast math.
 
     Acts as a read-only sequence of :class:`Instance`.  The arrays are
-    frozen so blocks can be shared across worker threads.
+    frozen so blocks can be shared by every fold, and by forked processes.
     """
 
     __slots__ = ("ids", "labels", "values")

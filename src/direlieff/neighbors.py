@@ -27,10 +27,8 @@ an absolute value and, under the ramp, a shift and a clip, each one numpy
 call over all numeric features; nominal features are compared with `!=`,
 from float64 copies.  One `np.add.reduce` over the feature axis adds the
 chunk's planes into the tile, plane after plane; the slack holds for any
-order of the sum.  No call is made per feature: one call per feature would
-hold the GIL so often that threads running partitions in parallel stop
-scaling.  Every call still takes the GIL briefly, which is why chunks are
-large.
+order of the sum.  No call is made per feature: every numpy call has a
+fixed cost, which is why chunks are large.
 
 The exact distance of every pair that passes is then computed in float64
 by `feature_diffs(...).sum(axis=-1)` over the gathered (row, sample) pairs,
@@ -46,7 +44,7 @@ that pass; a sample's own row is dropped among them, by id.  While a class
 still has a cell that is not full, the rows past each sample's (k+1)-th
 approximate distance plus twice the slack are cut first: the (k+1)-th,
 since one of the k + 1 nearest may be the sample's own row.  An engine
-folds a thread's whole run of partitions into one matrix, so after its
+folds a process's whole run of partitions into one matrix, so after its
 first tile the cells are full and the cut is almost never needed.
 `tiling` bounds the tile, the feature-major copy and the chunk, so the
 scratch does not grow with the sample count times the partition size.  The
@@ -79,23 +77,21 @@ __all__ = ["NeighborMatrix", "tiling"]
 # Scratch caps of `NeighborMatrix.offer_block`, in elements of the filter's
 # dtype: the (samples, rows) distance tile, and the feature-major copy of
 # the tile's rows and one (features, samples, rows) kernel chunk (512 KiB
-# each in float32).  A tile's selection makes a run of small numpy calls,
-# each holding the GIL, whatever the tile's size, so threads running
-# partitions in parallel scale better with large tiles; the selection's own
-# scratch lives in the kernel chunk's buffer, idle between sample groups,
-# so a larger tile adds only the tile and its keep mask, and `_insert`
-# places candidates in bounded slices (`INSERT_ELEMS`).  Each kernel chunk
-# costs a few GIL round trips too, but a chunk larger than the core's cache
-# slows each pass.
+# each in float32).  A tile's selection makes a run of small numpy calls
+# whatever the tile's size, so large tiles spread their fixed cost; the
+# selection's own scratch lives in the kernel chunk's buffer, idle between
+# sample groups, so a larger tile adds only the tile and its keep mask, and
+# `_insert` places candidates in bounded slices (`INSERT_ELEMS`).  Each
+# kernel chunk costs a few calls too, but a chunk larger than the core's
+# cache slows each pass.
 TILE_ELEMS = 1 << 17
 CHUNK_ELEMS = 1 << 17
 # Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get chunks
-# `LARGE_SCALE` times larger.  Threads running partitions in parallel meet
-# at the GIL: one that ends a numpy call while the other holds the lock
-# sleeps until it is let go, and larger chunks make fewer calls per
-# element.  One thread runs faster on the smaller, cache-resident chunk, and
-# the larger chunk is about a quarter of a block at this size, so smaller
-# blocks keep the smaller cap.
+# `LARGE_SCALE` times larger, which makes fewer calls per element: on
+# criterion 5's four 250k x 20 partitions (2 vCPUs, numpy 2.4) a rank took
+# 0.27 s in one process and 0.15 s in two, against 0.31 and 0.17 s with the
+# smaller cap.  The larger chunk is about a quarter of a block at this
+# size, so smaller blocks keep the smaller cap.
 LARGE_BLOCK_ELEMS = 1 << 21
 LARGE_SCALE = 4
 # A tile spans a run of about `RUN_ELEMS // m` rows for m samples,
@@ -270,7 +266,8 @@ class _Filter:
         least `out.size` elements; return the slack of their pairs with the
         samples."""
         self._scale(values, out, scratch)
-        np.take(values.T, self.nominal, axis=0, out=nominal, mode="clip")
+        if len(self.nominal):  # `take` copies the whole run to C order first
+            np.take(values.T, self.nominal, axis=0, out=nominal, mode="clip")
         lo = np.minimum(out.min(axis=1, initial=np.inf), self.lo)
         hi = np.maximum(out.max(axis=1, initial=-np.inf), self.hi)
         return self._slack(lo.astype(np.float64), hi.astype(np.float64))

@@ -1,19 +1,23 @@
 """Shared test helpers: randomized mixed-type datasets, a full-sort
 neighbour reference, damaged wire messages, frames read off a socket, and
-cluster workers, as processes or in-process threads."""
+cluster workers, as subprocesses, forked processes or in-process threads."""
 
 from __future__ import annotations
 
+import os
 import queue
 import re
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from direlieff import engine
@@ -190,14 +194,16 @@ def uncapped_threads():
 
 
 @contextmanager
-def worker_thread(threads: int = 1):
-    """An in-process `serve_worker` session on an ephemeral port; yields its
-    (host, port) and, on exit, waits for the session to end.  A session no
-    driver joined is ended by connecting and hanging up."""
+def worker_thread():
+    """An in-process `serve_worker` session of one thread on an ephemeral
+    port; yields its (host, port) and, on exit, waits for the session to
+    end.  A session no driver joined is ended by connecting and hanging
+    up.  It folds in this process, so it must fork no runs: a fork from a
+    process with a second live thread may deadlock (`worker_process`)."""
     bound: queue.Queue = queue.Queue()
     thread = threading.Thread(
         target=serve_worker,
-        args=("127.0.0.1", 0, threads),
+        args=("127.0.0.1", 0, 1),
         kwargs={"on_listen": lambda host, port: bound.put((host, port))},
         daemon=True,
     )
@@ -208,9 +214,51 @@ def worker_thread(threads: int = 1):
     finally:
         thread.join(timeout=1)
         if thread.is_alive():
-            try:
-                socket.create_connection(addr, timeout=10).close()
-            except OSError:
-                pass
+            _hang_up(addr)
             thread.join(timeout=30)
         assert not thread.is_alive(), "worker session did not end"
+
+
+@contextmanager
+def worker_process(threads: int):
+    """A `serve_worker` session in a child forked from this process, which
+    inherits its patches (`uncapped_threads`); yields its (host, port) and,
+    on exit, reaps it, after ending a session no driver joined as
+    `worker_thread` does."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            code = serve_worker("127.0.0.1", 0, threads, on_listen=lambda host, port: os.write(w, f"{port}\n".encode()))
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as announced:
+            addr = ("127.0.0.1", int(announced.readline()))
+        yield addr
+        _hang_up(addr)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            assert time.monotonic() < deadline, "worker session did not end"
+            time.sleep(0.01)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+
+
+def _hang_up(addr) -> None:
+    """Connect to `addr` and hang up: a worker that no driver joined ends."""
+    try:
+        socket.create_connection(addr, timeout=10).close()
+    except OSError:
+        pass
+
+
+def assert_no_children() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -89,11 +89,11 @@ class TestRankCommand:
         assert not out.exists()
 
     def test_cluster_backend_takes_no_local_threads(self, tmp_path, capsys):
-        # a cluster worker's threads are its own --threads; the input is not read
+        # a cluster worker's processes are its own --threads; the input is not read
         code = main(["rank", "--input", str(tmp_path / "nope.csv"), "--backend", "cluster",
                      "--workers", "2", "--cluster-workers", "127.0.0.1:1"])
         assert code == 1
-        assert capsys.readouterr().err == "error: --workers sets local threads; a cluster worker takes --threads\n"
+        assert capsys.readouterr().err == "error: --workers sets local processes; a cluster worker takes --threads\n"
 
     def test_negative_seed_draws_samples(self, data_csv, tmp_path):
         out = tmp_path / "weights.csv"
@@ -381,9 +381,18 @@ BAD_VALUES = {
                            2, "argument --worker-counts: expected comma-separated integers >= 1"),
     "stability-no-m": (["stability", "--input", "{csv}", "--m-values", ",", "--output", "{out}"],
                        1, "error: need at least one sample size"),
+    # a list that starts with "-" is the flag's value, not an option
+    "bench-negative-points": (["bench", "--axis", "n", "--points", "-1,3,4", "--output", "{out}"],
+                              2, "argument --points: expected comma-separated integers >= 1, got -1 in '-1,3,4'"),
+    "bench-zero-point": (["bench", "--axis", "n", "--points", "20,0,40", "--output", "{out}"],
+                         2, "argument --points: expected comma-separated integers >= 1, got 0 in '20,0,40'"),
+    "stability-negative-m": (["stability", "--input", "{csv}", "--m-values", "-2,5", "--output", "{out}"],
+                             2, "argument --m-values: expected comma-separated integers >= 1, got -2 in '-2,5'"),
+    "speedup-negative-list": (["speedup", "--n", "50", "--worker-counts", "-1,2", "--output", "{out}"],
+                              2, "argument --worker-counts: expected comma-separated integers >= 1, got -1 in '-1,2'"),
     "cluster-local-threads": (["rank", "--input", "{csv}", "--backend", "cluster", "--workers", "2",
                                "--cluster-workers", "127.0.0.1:1", "--output", "{out}"],
-                              1, "error: --workers sets local threads; a cluster worker takes --threads"),
+                              1, "error: --workers sets local processes; a cluster worker takes --threads"),
 }
 
 

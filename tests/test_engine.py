@@ -1,14 +1,17 @@
 """Partitioned engine: dataset shape, the run_stage fold, sampling laws."""
 
 import functools
+import os
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import numeric_schema, random_mixed_block, uncapped_threads, worker_thread
+from _support import assert_no_children, numeric_schema, random_mixed_block, uncapped_threads, worker_process
 from direlieff import engine as engine_mod
 from direlieff.cluster import ClusterEngine
 from direlieff.engine import (
@@ -17,11 +20,12 @@ from direlieff.engine import (
     LocalEngine,
     PartitionedDataset,
     draw_sample_positions,
+    fold_runs,
     split_sizes,
 )
-from direlieff.model import DiffConfig, DiffMode, FeatureRange, Instance, InstanceBlock, RankConfig
+from direlieff.model import DiffConfig, DiffMode, FeatureRange, Instance, InstanceBlock, ModelError, RankConfig
 from direlieff.pipeline import rank, select_samples
-from direlieff.stages import FETCH, NEIGHBORS, PRIORS, RANGES, FetchParams, NeighborParams, PriorsStage
+from direlieff.stages import FETCH, NEIGHBORS, PRIORS, RANGES, FetchParams, NeighborParams, PriorsStage, RangesStage, Stage
 
 
 def make_ds(n, partitions, seed=0):
@@ -55,9 +59,8 @@ class TestSplitSizes:
 
 
 class TestAggregate:
-    """`run_stage`: each thread's contiguous run of partitions folded from
-    one zero, the runs' results combined in partition order, the encoded
-    result size capped."""
+    """`run_stage`: each process's contiguous run of partitions folded from
+    one zero, the runs' results combined in partition order."""
 
     def test_count_shape(self):
         ds = make_ds(23, 3)
@@ -88,15 +91,26 @@ class TestAggregate:
         want = np.bincount(whole(ds).labels, minlength=3)
         assert got.tolist() == want.tolist()  # no zero shared between runs
 
-    @pytest.mark.parametrize("cores, workers, threads", [(2, 5, 2), (4, 3, 3), (1, 4, 1)])
-    def test_no_more_threads_than_cores(self, monkeypatch, cores, workers, threads):
-        pools, pool = [], engine_mod.ThreadPoolExecutor
+    @pytest.mark.parametrize("cores, workers, processes", [(2, 5, 2), (4, 3, 3), (1, 4, 1)])
+    def test_no_more_processes_than_cores(self, monkeypatch, cores, workers, processes):
+        forked, fork_run = [], engine_mod._fork_run
         monkeypatch.setattr(engine_mod, "available_cores", lambda: cores)
-        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers) or pool(max_workers))
+        monkeypatch.setattr(engine_mod, "_fork_run", lambda fold, run, fds: forked.append(len(run)) or fork_run(fold, run, fds))
         ds = make_ds(60, 8)
-        got = LocalEngine(EngineConfig(workers=workers)).run_stage(ds, PRIORS, None)
-        assert got.tolist() == np.bincount(whole(ds).labels, minlength=3).tolist()
-        assert pools == ([threads] if threads > 1 else [])  # one thread folds on the caller
+        mins, maxs = LocalEngine(EngineConfig(workers=workers)).run_stage(ds, RANGES, None)
+        assert np.array_equal(mins, whole(ds).values.min(axis=0))
+        assert np.array_equal(maxs, whole(ds).values.max(axis=0))
+        assert forked == split_sizes(8, processes)[1:]  # the caller folds the first run
+        assert_no_children()
+
+    @pytest.mark.parametrize("stage", [PRIORS, FETCH], ids=["priors", "fetch"])
+    def test_light_stage_forks_nothing(self, monkeypatch, stage):
+        monkeypatch.setattr(engine_mod, "_fork_run", lambda *args: pytest.fail("a light stage forked"))
+        ds = make_ds(60, 8)
+        params = FetchParams(np.arange(0, 60, 7), np.cumsum(ds.partition_lens())) if stage is FETCH else None
+        with uncapped_threads():
+            got = LocalEngine(EngineConfig(workers=4)).run_stage(ds, stage, params)
+        assert_bit_equal(stage, got, per_partition_fold(ds, stage, params))
 
     def test_calls_no_codec(self, monkeypatch):
         """Local results never leave the process: a rank whose stage codecs
@@ -175,9 +189,12 @@ def assert_bit_equal(stage, got, want):
 
 
 class TestThreadRuns:
-    """Every stage on either backend, at any thread count, is bit-equal to
+    """Every stage on either backend, at any process count, is bit-equal to
     folding each partition from a fresh zero and combining the partials in
-    partition order, though each thread folds its whole run into one zero."""
+    partition order, though each process folds its whole run into one zero.
+    The cluster worker is a process forked from this one, so that it
+    inherits `uncapped_threads` and forks its runs from a process with no
+    second live thread."""
 
     @given(case=stage_cases(), threads=st.integers(1, 5))
     @settings(max_examples=120, deadline=None)
@@ -193,9 +210,117 @@ class TestThreadRuns:
     @settings(max_examples=25, deadline=None)
     def test_cluster_worker(self, case, threads):
         ds, stages = case
-        with uncapped_threads(), worker_thread(threads) as addr, ClusterEngine([addr], timeout=30.0) as eng:
+        with uncapped_threads(), worker_process(threads) as addr, ClusterEngine([addr], timeout=30.0) as eng:
             for stage, params in stages:
                 assert_bit_equal(stage, eng.run_stage(ds, stage, params), per_partition_fold(ds, stage, params))
+
+
+class Failing(RangesStage):
+    """The ranges stage, but the fold of partition `at` calls `act(pid)`,
+    pid being the process that called `fold_runs`."""
+
+    def __init__(self, at, act):
+        self.at, self.act, self.caller = at, act, os.getpid()
+
+    def run_block(self, acc, block, params, schema, partition_index):
+        if partition_index == self.at:
+            self.act(self.caller)
+        return super().run_block(acc, block, params, schema, partition_index)
+
+
+class Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class Echo(Stage):
+    """Each run's result is a list of arrays made from its blocks, in the
+    layouts a pickle may send in or out of band; `comb` joins the lists."""
+
+    name = "echo"
+
+    def make_zero(self, schema, params):
+        return []
+
+    def run_block(self, acc, block, params, schema, partition_index):
+        big = np.repeat(block.values, 1 + 2**20 // block.values.size, axis=0)  # > 8 MiB
+        return acc + [big, block.values, block.ids, np.asfortranarray(big[:1000]), big[::3, 1], big[:0]]
+
+    def comb(self, a, b):
+        return a + b
+
+
+class TestForkedRuns:
+    """`fold_runs` in child processes: a child's error or death, a failure
+    of the caller's own run, and a large result.  No child outlives a call."""
+
+    def engine(self):
+        return LocalEngine(EngineConfig(workers=2))
+
+    def test_child_error_surfaces_through_rank(self, monkeypatch):
+        parent, run_block = os.getpid(), NEIGHBORS.run_block
+
+        def fail_in_child(acc, block, params, schema, index):
+            if os.getpid() != parent:
+                raise ModelError(f"bad block {int(block.ids[0])}")
+            return run_block(acc, block, params, schema, index)
+
+        monkeypatch.setattr(NEIGHBORS, "run_block", fail_in_child)
+        with uncapped_threads(), pytest.raises(ModelError, match=r"^bad block 40$"):
+            rank(make_ds(80, 4), RankConfig(m=5, k=3, seed=1), self.engine())  # partitions 2-3 run in the child
+        assert_no_children()
+
+    @pytest.mark.parametrize("exc, want", [
+        (ModelError("no such class"), (ModelError, "no such class")),
+        (KeyError("gone"), (KeyError, "'gone'")),
+        (Unpicklable(1, 2), (EngineError, "Unpicklable('1 and 2')")),
+    ], ids=["named", "builtin", "unpicklable"])
+    def test_child_exception_keeps_type_and_message(self, exc, want):
+        def act(caller):
+            raise exc
+
+        with uncapped_threads(), pytest.raises(want[0]) as err:
+            self.engine().run_stage(make_ds(40, 4), Failing(3, act), None)
+        assert str(err.value) == want[1]
+        assert_no_children()
+
+    def test_killed_child_is_named(self):
+        def act(caller):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with uncapped_threads(), pytest.raises(EngineError, match=r"^run 2 of 2 \(partitions 2-3\) ended without a result: killed by SIGKILL$"):
+            self.engine().run_stage(make_ds(40, 4), Failing(2, act), None)
+        assert_no_children()
+
+    def test_caller_failure_kills_the_children(self):
+        def act(caller):
+            if os.getpid() == caller:
+                raise ModelError("the caller's run failed")
+
+        class Slow(Failing):
+            def run_block(self, acc, block, params, schema, partition_index):
+                if os.getpid() != self.caller:
+                    time.sleep(60)
+                return super().run_block(acc, block, params, schema, partition_index)
+
+        t0 = time.perf_counter()
+        with uncapped_threads(), pytest.raises(ModelError, match="^the caller's run failed$"):
+            LocalEngine(EngineConfig(workers=4)).run_stage(make_ds(40, 4), Slow(0, act), None)
+        assert time.perf_counter() - t0 < 30
+        assert_no_children()
+
+    def test_large_result_round_trips_bit_exact(self):
+        ds, stage = make_ds(400, 3), Echo()
+        parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]
+        want = fold_runs(stage, ds.schema, None, parts, 1)
+        with uncapped_threads():
+            got = fold_runs(stage, ds.schema, None, parts, 3)
+        assert len(got) == len(want) == 18
+        for x, y in zip(got, want):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            assert x.flags.writeable == y.flags.writeable
+        assert got[6].nbytes > 8 * 2**20
+        assert_no_children()
 
 
 class TestTakeSample:
