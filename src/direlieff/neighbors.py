@@ -266,8 +266,7 @@ class _Filter:
         least `out.size` elements; return the slack of their pairs with the
         samples."""
         self._scale(values, out, scratch)
-        if len(self.nominal):  # `take` copies the whole run to C order first
-            np.take(values.T, self.nominal, axis=0, out=nominal, mode="clip")
+        np.take(values.T, self.nominal, axis=0, out=nominal, mode="clip")
         lo = np.minimum(out.min(axis=1, initial=np.inf), self.lo)
         hi = np.maximum(out.max(axis=1, initial=-np.inf), self.hi)
         return self._slack(lo.astype(np.float64), hi.astype(np.float64))
