@@ -124,12 +124,11 @@ def fold_runs(stage, schema, params, parts, workers: int):
     with its type and message.  A child that ends without a result, or a
     failure of the caller's own run, is an EngineError or that failure once
     every child is killed and reaped: no child outlives the call.  Processes,
-    not threads: each numpy call of the neighbour pass is short, about 25
-    us on `local_rank`'s 100k-element calls, and two threads hand the GIL to
-    each other at every one.  On 2 vCPUs (numpy 2.4) half of that pass took
-    61 ms in one process, 64-67 ms in each of two processes at once and 121
-    ms on two threads.  Where `os.fork` does not exist, the runs are folded
-    here one after another.
+    not threads: the neighbour pass makes many short numpy calls, and two
+    threads hand the GIL to each other at every one.  On 2 vCPUs (numpy
+    2.4) `local_rank`'s pass took 0.096-0.111 s in one process, 0.083-0.090
+    s on two threads and 0.061-0.062 s in two processes.  Where `os.fork`
+    does not exist, the runs are folded here one after another.
     """
     runs, at = [], 0
     processes = 1 if stage.light else min(workers, available_cores(), len(parts))

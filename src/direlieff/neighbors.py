@@ -89,7 +89,7 @@ CHUNK_ELEMS = 1 << 17
 # Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get chunks
 # `LARGE_SCALE` times larger, which makes fewer calls per element: on
 # criterion 5's four 250k x 20 partitions (2 vCPUs, numpy 2.4) a rank took
-# 0.27 s in one process and 0.15 s in two, against 0.31 and 0.17 s with the
+# about 13% less time in one process and 9% less in two than with the
 # smaller cap.  The larger chunk is about a quarter of a block at this
 # size, so smaller blocks keep the smaller cap.
 LARGE_BLOCK_ELEMS = 1 << 21
