@@ -5,16 +5,13 @@ The engine has one action, `run_stage`: the partitions are cut into one
 contiguous run per worker process, each process folds its run of
 partitions from one zero, the caller's own process the first run and a
 forked child each other, and the runs' results are combined on the driver
-in partition order (`fold_runs`); `LocalEngine.session` forks those
-children once for all the stages run on one dataset.  A stage whose fold
-and combiner are exact and associative, as every registered stage's are,
-yields a result independent of the process count and of how the rows are
-partitioned.
+in partition order (`fold_runs`).  A stage whose fold and combiner are
+exact and associative, as every registered stage's are, yields a result
+independent of the process count and of how the rows are partitioned.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import os
@@ -134,16 +131,33 @@ def fold_runs(stage, schema, params, parts, workers: int):
     2.4) `local_rank`'s pass took 0.096-0.111 s in one process, 0.083-0.090
     s on two threads and 0.061-0.062 s in two processes.  Where every block
     holds `LARGE_BLOCK_ELEMS` values or more, the runs are folded on
-    threads instead (`_thread_runs`): the neighbour kernel's calls on such
-    blocks are long and release the GIL for most of their time, so threads
-    scale as processes do there and pay no fork, no reap and no page fault
-    after a fork.  Inside the test suite, on criterion 5's four 250k x 20
-    partitions, a session's fork and reap alone took 4-6 ms of a `rank` of
-    about 0.14 s in two processes.  Where `os.fork` does not
-    exist, the runs are folded here one after another.
+    threads instead (`_thread_runs`): such blocks get the neighbour
+    kernel's larger chunks, whose calls are long enough for threads to
+    scale, and threads pay no fork and no reap.  That is where the two
+    cross for m = 10 over four partitions of 20 features, criterion 5's
+    shape, on 2 vCPUs (numpy 2.4; `BENCH_fork.json`, `crossover`): threads
+    took 15-18% longer than processes at 104,857 rows a block, the last
+    count under the bound, and 6-11% less at 104,858 (9 alternated `rank`
+    runs, each side faster in 8-9 of 9); at 150k-250k rows the two were
+    within 5%.  At 12,500-25,000 rows, `rank`s of under 30 ms, the fork's
+    own cost made processes the slowest of the three, one process
+    included.  At m = 100 processes were faster at every size measured, by
+    9-15% on large blocks, which therefore still fold as threads did before
+    runs were forked.  Where `os.fork` does not exist, the runs are folded
+    here one after another.
     """
-    runs = _cut_runs(parts, 1 if stage.light else workers)
-    fold = functools.partial(_fold, stage, schema, params)
+    runs, at = [], 0
+    processes = 1 if stage.light else min(workers, available_cores(), len(parts))
+    for size in split_sizes(len(parts), max(1, processes)):
+        runs.append(parts[at : at + size])
+        at += size
+
+    def fold(run):
+        acc = stage.make_zero(schema, params)
+        for index, block in run:
+            acc = stage.run_block(acc, block, params, schema, index)
+        return acc
+
     if len(runs) == 1 or not hasattr(os, "fork"):
         return functools.reduce(stage.comb, map(fold, runs))
     if _on_threads(parts):
@@ -157,7 +171,8 @@ def fold_runs(stage, schema, params, parts, workers: int):
             reply = _receive(children[0][1])
             status = _reap(children.pop(0), kill=False)
             if reply is None:
-                raise _lost(number, runs, status)
+                where = f"partitions {run[0][0]}-{run[-1][0]}"
+                raise EngineError(f"run {number} of {len(runs)} ({where}) ended without a result: {_ending(status)}")
             done, value = reply
             if not done:
                 raise value
@@ -201,28 +216,8 @@ def _thread_runs(fold, runs) -> list:
     return results
 
 
-def _cut_runs(parts, workers: int) -> list:
-    """`parts` cut into contiguous runs, as many as `workers`, the cores
-    (`available_cores`) and the parts allow, and at least one."""
-    runs, at = [], 0
-    for size in split_sizes(len(parts), max(1, min(workers, available_cores(), len(parts)))):
-        runs.append(parts[at : at + size])
-        at += size
-    return runs
-
-
-def _fold(stage, schema, params, run):
-    """`stage` folded over the (partition index, block) pairs of `run`
-    from one `make_zero`."""
-    acc = stage.make_zero(schema, params)
-    for index, block in run:
-        acc = stage.run_block(acc, block, params, schema, index)
-    return acc
-
-
-# A reply, and a session's request: its pickle's length and its
-# out-of-band buffer count, the buffers' lengths, the pickle, then the
-# buffers.
+# A reply: its pickle's length and its out-of-band buffer count, the
+# buffers' lengths, the pickle, then the buffers.
 _REPLY_HEAD = struct.Struct("!QQ")
 
 
@@ -246,59 +241,20 @@ def _fork_run(fold, run, inherited) -> tuple[int, int]:
         os.close(r)
         for fd in inherited:
             os.close(fd)
+        try:
+            reply = (True, fold(run))
+        except BaseException as exc:
+            reply = (False, _portable(exc))
+        try:
+            frames = _frames(reply)
+        except Exception as exc:  # a result that pickle cannot send
+            frames = _frames((False, EngineError(f"run result {type(reply[1]).__name__} cannot be sent: {exc!r}")))
         with open(w, "wb") as out:
-            _reply(out, functools.partial(fold, run))
+            for frame in frames:
+                out.write(frame)
         code = 0
     finally:
         os._exit(code)
-
-
-def _fork_server(schema, run, inherited) -> tuple[int, int, int]:
-    """(pid, write end of its requests, read end of its replies) of a
-    child that, for each (stage, params) request it reads, folds `run` and
-    replies as a `_fork_run` child does, and exits once its requests end;
-    the child closes the `inherited` ends, the other children's."""
-    fds = []
-    try:
-        fds.extend(os.pipe())
-        fds.extend(os.pipe())
-        pid = os.fork()
-    except BaseException:
-        for fd in fds:
-            os.close(fd)
-        raise
-    requests, to_parent = fds[0], fds[3]
-    if pid:
-        os.close(requests)
-        os.close(to_parent)
-        return pid, fds[1], fds[2]
-    code = 1
-    try:
-        for fd in (fds[1], fds[2], *inherited):
-            os.close(fd)
-        with open(to_parent, "wb") as out:
-            while (request := _receive(requests)) is not None:
-                stage, params = request
-                _reply(out, functools.partial(_fold, stage, schema, params, run))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reply(out, fold) -> None:
-    """Write (True, fold()) or (False, the exception it raised) to `out`
-    as the frames of a reply."""
-    try:
-        reply = (True, fold())
-    except BaseException as exc:
-        reply = (False, _portable(exc))
-    try:
-        frames = _frames(reply)
-    except Exception as exc:  # a result that pickle cannot send
-        frames = _frames((False, EngineError(f"run result {type(reply[1]).__name__} cannot be sent: {exc!r}")))
-    for frame in frames:
-        out.write(frame)
-    out.flush()
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -357,12 +313,6 @@ def _reap(child: tuple[int, int], kill: bool):
         return os.waitpid(pid, 0)[1]
     except (ChildProcessError, ProcessLookupError):
         return None
-
-
-def _lost(number: int, runs, status) -> EngineError:
-    run = runs[number - 1]
-    where = f"partitions {run[0][0]}-{run[-1][0]}"
-    return EngineError(f"run {number} of {len(runs)} ({where}) ended without a result: {_ending(status)}")
 
 
 def _ending(status) -> str:
@@ -444,112 +394,18 @@ class LocalEngine:
 
     Each process's result, the fold of its contiguous run of partitions, is
     combined sequentially on the driver in partition order.  A stage runs
-    in `config.workers` processes, the driver's own among them, but in no
-    more than the cores (`fold_runs`).  A child's result comes back
-    pickled, so no stage codec is called.  Within `session(ds)` the stages
-    run on `ds` share children forked once.
+    in `config.workers` processes, the driver's own among them, or on as
+    many threads where every block is large, but in no more than the cores
+    (`fold_runs`).  A child's result comes back pickled, so no stage codec
+    is called.
     """
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
-        self._session = None
-
-    @contextlib.contextmanager
-    def session(self, ds: PartitionedDataset):
-        """Within the block, the stages that are not light and that the
-        opening thread runs on `ds` are folded by children forked once, on
-        entry, one for each run of partitions but the first, instead of by
-        children forked for each stage: a fork, the child's exit and its
-        reaping cost 2-5 ms in a process holding 1M x 20 rows, and every
-        page the caller writes after a fork faults once.  `ds` must not
-        change in the block.  On exit every child is reaped, killed first if
-        the block raised; a failed stage has them killed and reaped at once,
-        and later stages fork per stage.  In an open session, another
-        session is the same one."""
-        if self._session is not None:
-            yield self
-            return
-        self._session = _Session(ds, self.config.workers)
-        try:
-            yield self
-        except BaseException:
-            self._session.close(kill=True)
-            raise
-        finally:
-            self._session.close(kill=False)
-            self._session = None
 
     def run_stage(self, ds: PartitionedDataset, stage, params):
-        """Run a registered stage with `fold_runs`, or in the open session:
-        each process's contiguous run of partitions from one zero, then the
-        stage combiner in run order."""
-        session = self._session
-        if session is not None and session.serves(ds, stage):
-            return session.run_stage(stage, params)
+        """Run a registered stage with `fold_runs`: each process's
+        contiguous run of partitions from one zero, then the stage combiner
+        in run order."""
         parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]
         return fold_runs(stage, ds.schema, params, parts, self.config.workers)
-
-
-class _Session:
-    """The children of a `LocalEngine.session`: one per run of a dataset's
-    partitions but the first, cut as `fold_runs` cuts them, each folding
-    its run for every stage it is sent; none where `fold_runs` folds on
-    threads."""
-
-    def __init__(self, ds: PartitionedDataset, workers: int):
-        self.ds, self.workers, self.thread = ds, workers, threading.get_ident()
-        self.parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]
-        self.runs = _cut_runs(self.parts, workers)
-        self.children = []  # (pid, request write end, reply read end), in run order
-        if hasattr(os, "fork") and not _on_threads(self.parts):
-            try:
-                for run in self.runs[1:]:
-                    inherited = [fd for child in self.children for fd in child[1:]]
-                    self.children.append(_fork_server(ds.schema, run, inherited))
-            except BaseException:
-                self.close(kill=True)
-                raise
-
-    def serves(self, ds, stage) -> bool:
-        return ds is self.ds and bool(self.children) and not stage.light and threading.get_ident() == self.thread
-
-    def run_stage(self, stage, params):
-        """The caller folds the first run while each child folds its own;
-        their replies are combined in run order, as in `fold_runs`.  A
-        request that pickle cannot send, such as one naming a class local
-        to a function, is folded by `fold_runs` instead."""
-        try:
-            request = _frames((stage, params))
-        except Exception:
-            return fold_runs(stage, self.ds.schema, params, self.parts, self.workers)
-        try:
-            for _, requests, _ in self.children:
-                try:
-                    with open(requests, "wb", closefd=False) as out:
-                        for frame in request:
-                            out.write(frame)
-                except BrokenPipeError:  # the child is gone: its reply pipe ends too
-                    pass
-            result = _fold(stage, self.ds.schema, params, self.runs[0])
-            for number, (pid, requests, replies) in enumerate(list(self.children), start=2):
-                reply = _receive(replies)
-                if reply is None:
-                    self.children.remove((pid, requests, replies))
-                    os.close(requests)
-                    raise _lost(number, self.runs, _reap((pid, replies), kill=False))
-                done, value = reply
-                if not done:
-                    raise value
-                result = stage.comb(result, value)
-            return result
-        except BaseException:
-            self.close(kill=True)
-            raise
-
-    def close(self, kill: bool) -> None:
-        """End every child's requests and reap it, SIGKILLed first if `kill`."""
-        children, self.children = self.children, []
-        for _, requests, _ in children:
-            os.close(requests)
-        for pid, _, replies in children:
-            _reap((pid, replies), kill)

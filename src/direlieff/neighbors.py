@@ -51,9 +51,7 @@ scratch does not grow with the sample count times the partition size.  The
 selection's own scratch, the class limits gathered per tile column, the
 k-th cut and the exact refine's float64 buffers, lives in the kernel
 chunk's buffer, which is idle between sample groups, and so do the float64
-values a run's copy is centred and scaled in.  These buffers are cut from
-one buffer per thread, kept from block to block (`_Scratch`), whose pages a
-forked child does not share.
+values a run's copy is centred and scaled in.
 
 Cells are written in one place, `NeighborMatrix._insert`, by position.
 Its candidates come sorted by (cell, distance, id), the cell numbered
@@ -68,10 +66,6 @@ placement's scratch.
 """
 
 from __future__ import annotations
-
-import mmap
-import sys
-import threading
 
 import numpy as np
 
@@ -152,65 +146,6 @@ def _even(n: int, cap: int) -> int:
     is short by fewer elements than there are parts."""
     parts = -(-n // cap)
     return -(-n // parts)
-
-
-class _Scratch(threading.local):
-    """One thread's scratch for `offer_block`: a buffer kept from call to
-    call and grown as a block needs, which `take` cuts into arrays.
-
-    On Linux it is private anonymous memory that a forked child does not
-    share (`MADV_WIPEONFORK`): the child finds it zero-filled, in huge pages
-    where the kernel gives them, and the caller keeps its pages.  Buffers
-    from the malloc heap are shared copy-on-write after a fork, so the
-    caller and the child, which fold a stage's runs at the same time
-    (`engine.fold_runs`), each took a page fault and a page copy on their
-    first write to every scratch page: on criterion 5's four 250k x 20
-    partitions in two processes, about 900 of the caller's 2,400 faults in
-    the neighbour stage and 1,000 of the child's 2,700.
-    """
-
-    buf = None
-
-    def take(self, *specs) -> list:
-        """One array per (length, dtype) of `specs`, each at a 64-byte
-        offset of the buffer; their contents are undefined, as `np.empty`'s."""
-        sizes = [-(-n * np.dtype(t).itemsize // 64) * 64 for n, t in specs]
-        if self.buf is None or len(self.buf) < sum(sizes):
-            self.buf = _private_buffer(sum(sizes))
-        out, at = [], 0
-        for (n, t), size in zip(specs, sizes):
-            out.append(self.buf[at : at + n * np.dtype(t).itemsize].view(t))
-            at += size
-        return out
-
-
-_SCRATCH = _Scratch()
-# madvise's advice to give a forked child zero-filled pages of a private
-# mapping instead of sharing them (Linux 4.14); Python's `mmap` names no
-# constant for it
-_MADV_WIPEONFORK = 18
-_HUGE_PAGE = 1 << 21
-
-
-def _private_buffer(nbytes: int) -> np.ndarray:
-    """A uint8 array of `nbytes` in an anonymous private mapping, which a
-    forked child does not share on Linux; from `np.empty` where there is no
-    such mapping."""
-    if not hasattr(mmap, "MAP_ANONYMOUS"):
-        return np.empty(nbytes, np.uint8)
-    # a buffer of a huge page or more is a whole number of them, so that a
-    # child zero-fills it 2 MiB at a time
-    size = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE if nbytes >= _HUGE_PAGE else nbytes
-    mem = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    advice = [getattr(mmap, "MADV_HUGEPAGE", None)]
-    if sys.platform == "linux":
-        advice.append(_MADV_WIPEONFORK)
-    for option in filter(None, advice):
-        try:
-            mem.madvise(option)
-        except OSError:  # advice the kernel lacks: shared copy-on-write, or small pages
-            pass
-    return np.frombuffer(mem, np.uint8, nbytes)
 
 
 def _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg, scratch) -> np.ndarray:
@@ -452,19 +387,16 @@ class NeighborMatrix:
                 filt = _Filter(sample_values, numeric_mask, ranges, cfg)
                 num, nom, dtype = len(filt.numeric), len(filt.nominal), filt.dtype
                 planes = num + nom
+                tile = np.empty(g * rows, dtype)
+                source, nominal = np.empty(num * rows, dtype), np.empty(nom * rows)
                 # the chunk's buffer is idle while a run is copied and while
                 # a tile is selected, and holds their scratch then: the
                 # float64 rows of `copy_rows` and of the exact refine, viewed
                 # as float64
                 nbytes = max(dtype.itemsize * max(planes * width, g) * rows, 8 * max(num * rows, 3 * a))
-                tile, source, nominal, wide, keep = _SCRATCH.take(
-                    (g * rows, dtype),
-                    (num * rows, dtype),
-                    (nom * rows, np.float64),
-                    (-(-nbytes // 8), np.float64),
-                    (g * rows, np.bool_),
-                )
+                wide = np.empty(-(-nbytes // 8))
                 kernel = wide.view(dtype)
+                keep = np.empty(g * rows, dtype=bool)
 
                 def exact(rows, samples):
                     return _exact_distances(values, rows, sample_values, samples, numeric_mask, ranges, cfg, wide)

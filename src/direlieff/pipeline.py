@@ -14,7 +14,6 @@ any backend and any partition count.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import logging
 from dataclasses import dataclass
@@ -186,12 +185,10 @@ def rank(ds: PartitionedDataset, config: RankConfig, engine=None) -> RankResult:
     """Full pipeline: ranges, priors, samples, neighbours, weights, order."""
     engine = engine if engine is not None else LocalEngine()
     n = sum(ds.partition_lens())
-    session = getattr(engine, "session", None)  # a `LocalEngine` forks once for all passes
-    with session(ds) if session is not None else contextlib.nullcontext():
-        ranges = compute_ranges(ds, engine)
-        priors = compute_priors(ds, engine)
-        samples = select_samples(ds, engine, config.m, config.seed)
-        nn = find_neighbors(ds, engine, samples, ranges, config.k, config.diff)
+    ranges = compute_ranges(ds, engine)
+    priors = compute_priors(ds, engine)
+    samples = select_samples(ds, engine, config.m, config.seed)
+    nn = find_neighbors(ds, engine, samples, ranges, config.k, config.diff)
     sdif = compute_sdif(
         nn,
         samples,

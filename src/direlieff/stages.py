@@ -56,9 +56,9 @@ def check_block(ids: np.ndarray, labels: np.ndarray, values: np.ndarray, schema:
 class Stage:
     """Base stage: subclasses set `name` and override the hooks.  A stage
     whose fold costs less than a forked process sets `light`, and
-    `engine.fold_runs`, or a session, folds all of its partitions in the
-    caller: a fork, the child's exit and its reaping took 2-5 ms in a
-    process holding 1M x 20 rows (2 vCPUs)."""
+    `engine.fold_runs` folds all of its partitions in the caller: a fork,
+    the child's exit and its reaping took 2-5 ms in a process holding 1M x
+    20 rows (2 vCPUs)."""
 
     name = ""
     light = False

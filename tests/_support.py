@@ -187,9 +187,9 @@ def reap(procs, timeout: float = 15.0) -> list[int]:
 
 
 def uncapped_threads():
-    """While active, `fold_runs` and a session fork as many processes as
-    they are asked for, however few cores the host has, so that a test of
-    the process count runs every count it draws."""
+    """While active, `fold_runs` starts as many threads as it is asked for,
+    however few cores the host has, so that a test of the thread count runs
+    every count it draws."""
     return mock.patch.object(engine, "available_cores", return_value=1 << 10)
 
 

@@ -324,102 +324,6 @@ class TestForkedRuns:
         assert_no_children()
 
 
-class ChildFails(RangesStage):
-    """The ranges stage, but a process other than the one that made it
-    raises a ModelError on partition `at`, or SIGKILLs itself if `kill`.
-    Pickle can send it, so a session's children fold it."""
-
-    def __init__(self, at, kill=False):
-        self.at, self.kill, self.caller = at, kill, os.getpid()
-
-    def run_block(self, acc, block, params, schema, partition_index):
-        if partition_index == self.at and os.getpid() != self.caller:
-            if self.kill:
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise ModelError(f"partition {partition_index} failed")
-        return super().run_block(acc, block, params, schema, partition_index)
-
-
-class TestSession:
-    """`LocalEngine.session`: the stages run on its dataset share children
-    forked once; a failure kills and reaps them; no child outlives it."""
-
-    def count_forks(self, monkeypatch) -> dict:
-        counts = {"_fork_server": 0, "_fork_run": 0}
-        for name in counts:
-
-            def counted(*args, name=name, real=getattr(engine_mod, name)):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(engine_mod, name, counted)
-        return counts
-
-    def test_rank_forks_once(self, monkeypatch):
-        ds, cfg = make_ds(80, 4), RankConfig(m=5, k=3, seed=1)
-        want = rank(ds, cfg, LocalEngine()).weights
-        forks = self.count_forks(monkeypatch)
-        with uncapped_threads():
-            got = rank(ds, cfg, LocalEngine(EngineConfig(workers=3))).weights
-        assert forks == {"_fork_server": 2, "_fork_run": 0}
-        assert got == want
-        assert_no_children()
-
-    def test_stages_equal_partition_folds(self):
-        ds = make_ds(90, 5)
-        samples = select_samples(ds, LocalEngine(), 6, seed=2)
-        ranges = FeatureRange(*LocalEngine().run_stage(ds, RANGES, None), ds.schema.numeric_mask())
-        neighbors = NeighborParams(samples, 3, ranges, DiffConfig())
-        eng = LocalEngine(EngineConfig(workers=3))
-        with uncapped_threads(), eng.session(ds):
-            for stage, params in [(RANGES, None), (NEIGHBORS, neighbors), (RANGES, None)]:
-                assert_bit_equal(stage, eng.run_stage(ds, stage, params), per_partition_fold(ds, stage, params))
-            got, want = eng.run_stage(ds, Echo(), None), per_partition_fold(ds, Echo(), None)
-            assert [(x.dtype, x.shape, x.tobytes()) for x in got] == [(x.dtype, x.shape, x.tobytes()) for x in want]
-        assert_no_children()
-
-    def test_child_error_ends_the_session(self, monkeypatch):
-        ds, eng = make_ds(40, 4), LocalEngine(EngineConfig(workers=2))
-        with uncapped_threads(), eng.session(ds):
-            with pytest.raises(ModelError, match="^partition 3 failed$"):
-                eng.run_stage(ds, ChildFails(3), None)
-            assert_no_children()
-            forks = self.count_forks(monkeypatch)
-            assert_bit_equal(RANGES, eng.run_stage(ds, RANGES, None), per_partition_fold(ds, RANGES, None))
-            assert forks == {"_fork_server": 0, "_fork_run": 1}
-        assert_no_children()
-
-    def test_killed_child_is_named(self):
-        ds, eng = make_ds(40, 4), LocalEngine(EngineConfig(workers=2))
-        want = r"^run 2 of 2 \(partitions 2-3\) ended without a result: killed by SIGKILL$"
-        with uncapped_threads(), eng.session(ds), pytest.raises(EngineError, match=want):
-            eng.run_stage(ds, ChildFails(2, kill=True), None)
-        assert_no_children()
-
-    def test_failing_block_kills_the_children(self):
-        eng = LocalEngine(EngineConfig(workers=4))
-        with uncapped_threads(), pytest.raises(ValueError, match="^the block failed$"):
-            with eng.session(make_ds(40, 4)):
-                assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # children, none ended
-                raise ValueError("the block failed")
-        assert_no_children()
-
-    def test_what_it_does_not_serve_forks_per_stage(self, monkeypatch):
-        """A stage pickle cannot send, another dataset and a light stage
-        are folded as outside a session; a nested session is the same."""
-        ds, other = make_ds(40, 4), make_ds(40, 4, seed=1)
-        eng = LocalEngine(EngineConfig(workers=2))
-        with uncapped_threads(), eng.session(ds):
-            forks = self.count_forks(monkeypatch)
-            closure = Failing(0, lambda caller: None)
-            for data, stage, kind in [(ds, closure, RANGES), (other, RANGES, RANGES), (ds, PRIORS, PRIORS)]:
-                assert_bit_equal(kind, eng.run_stage(data, stage, None), per_partition_fold(data, stage, None))
-            with eng.session(ds):
-                eng.run_stage(ds, RANGES, None)
-            assert forks == {"_fork_server": 0, "_fork_run": 2}
-        assert_no_children()
-
-
 def large_ds(parts=2, seed=3):
     """`parts` partitions of `LARGE_BLOCK_ELEMS` values each, 8 numeric features."""
     a = 8
@@ -435,15 +339,14 @@ class TestLargeBlocks:
     exception is raised in the caller."""
 
     def no_forks(self, monkeypatch):
-        for name in ("_fork_run", "_fork_server"):
-            monkeypatch.setattr(engine_mod, name, lambda *args: pytest.fail("a large block forked"))
+        monkeypatch.setattr(engine_mod, "_fork_run", lambda *args: pytest.fail("a large block forked"))
 
     def test_stages_fold_on_threads(self, monkeypatch):
         ds, eng = large_ds(), LocalEngine(EngineConfig(workers=2))
         self.no_forks(monkeypatch)
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-        with uncapped_threads(), eng.session(ds):
+        with uncapped_threads():
             assert_bit_equal(RANGES, eng.run_stage(ds, RANGES, None), per_partition_fold(ds, RANGES, None))
         assert len(started) == 1
         assert_no_children()

@@ -1,10 +1,6 @@
 """The dense neighbour matrix: selection order, merging, and wire format."""
 
 import contextlib
-import os
-import resource
-import signal
-import threading
 import tracemalloc
 
 import numpy as np
@@ -723,22 +719,12 @@ class TestScratchMemory:
     CANDIDATE_SLOT_BYTES = 2 + 25  # two masks and the (cells, k) arrays, cells <= candidates
     MOVED_BYTES = 4 * 8  # and 8a for the row
 
-    def peak(self, call, monkeypatch) -> int:
-        """tracemalloc's peak over `call`, plus the bytes that `_Scratch.take`
-        hands out in it: the scratch is an anonymous mapping, which
-        tracemalloc does not see."""
-        taken, take = [0], neighbors._Scratch.take
-
-        def counted(scratch, *specs):
-            taken.append(sum(n * np.dtype(t).itemsize for n, t in specs))
-            return take(scratch, *specs)
-
-        monkeypatch.setattr(neighbors._Scratch, "take", counted)
+    def peak(self, call) -> int:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             call()
-            return tracemalloc.get_traced_memory()[1] - base + max(taken)
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
@@ -769,7 +755,7 @@ class TestScratchMemory:
         ],
         ids=["local_rank", "cluster_rank"],
     )
-    def test_offer_block_peak(self, p, m, num, nom, c, cfg, monkeypatch):
+    def test_offer_block_peak(self, p, m, num, nom, c, cfg):
         rng = np.random.default_rng(p)
         a, k = num + nom, 10
         mask = np.array([True] * num + [False] * nom)
@@ -781,11 +767,11 @@ class TestScratchMemory:
         sample_values = draw(m)
         ranges = FeatureRange(np.full(a, -5.0), np.full(a, 5.0), mask)
         nn = NeighborMatrix(c, np.arange(m) + p, k, a)
-        peak = self.peak(lambda: nn.offer_block(block, sample_values, mask, ranges, cfg), monkeypatch)
+        peak = self.peak(lambda: nn.offer_block(block, sample_values, mask, ranges, cfg))
         assert (nn.count == k).all()
         assert peak <= self.offer_bound(p, m, num, nom, c, k)
 
-    def test_merge_peak(self, monkeypatch):
+    def test_merge_peak(self):
         c, m, k, a = 5, 400, 10, 30
         rng = np.random.default_rng(1)
 
@@ -804,75 +790,7 @@ class TestScratchMemory:
         n = c * m * k
         s = neighbors._even(n, neighbors.INSERT_ELEMS // (k + a))
         place = self.place_bytes(s, (k - 1) * (s // k + 1), k, a)
-        assert self.peak(lambda: nn.merge(other), monkeypatch) <= n * (4 * 8 + 1) + place
-
-
-class TestScratchBuffer:
-    """`_Scratch`: one buffer per thread, kept from call to call and grown
-    as needed, whose pages a forked child does not share."""
-
-    def test_take_cuts_disjoint_aligned_arrays(self):
-        specs = [(3, np.float32), (5, np.float64), (7, np.bool_), (0, np.float64), (9, np.int64)]
-        arrays = neighbors._Scratch().take(*specs)
-        assert [(x.dtype, len(x)) for x in arrays] == [(np.dtype(t), n) for n, t in specs]
-        assert all(x.flags.writeable and x.flags.c_contiguous for x in arrays)
-        full = [x for x in arrays if len(x)]  # an empty array may point anywhere
-        starts = [x.__array_interface__["data"][0] for x in full]
-        assert all((p - starts[0]) % 64 == 0 for p in starts)
-        assert all(p + x.nbytes <= q for p, x, q in zip(starts, full, starts[1:]))
-
-    def test_reused_until_outgrown(self):
-        scratch = neighbors._Scratch()
-        scratch.take((100, np.float64))
-        first = scratch.buf
-        scratch.take((50, np.float64), (36, np.float64))
-        assert scratch.buf is first
-        (big,) = scratch.take((len(first), np.float64))
-        assert scratch.buf is not first and len(scratch.buf) >= big.nbytes
-
-    def test_one_buffer_per_thread(self):
-        scratch, bufs = neighbors._Scratch(), []
-
-        def use():
-            scratch.take((10, np.float64))
-            bufs.append(scratch.buf)
-
-        use()
-        thread = threading.Thread(target=use)
-        thread.start()
-        thread.join()
-        assert len(bufs) == 2 and bufs[0] is not bufs[1]
-
-    def test_forked_child_does_not_share_it(self):
-        """The child reads zeros and its writes do not reach the caller,
-        which writes its own pages again with no page fault for each."""
-        (x,) = neighbors._Scratch().take((1 << 19, np.float64))  # 4 MiB
-        x[:] = 1.0
-        r, w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(r)
-                code = 0 if (x == 0.0).all() else 2
-                x[:] = 3.0
-                os.write(w, b"1")
-                os.read(w, 1)  # blocks until the caller has written x
-            finally:
-                os._exit(code)
-        try:
-            os.close(w)
-            assert os.read(r, 1) == b"1"  # the child has written its x
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            x[:] = 2.0
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        finally:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        assert (x == 2.0).all()
-        # 1,024 pages: a heap buffer copies each on its first write
-        assert faults < 64
+        assert self.peak(lambda: nn.merge(other)) <= n * (4 * 8 + 1) + place
 
 
 def encoded(inputs):
