@@ -142,9 +142,8 @@ def fold_runs(stage, schema, params, parts, workers: int):
     within 5%.  At 12,500-25,000 rows, `rank`s of under 30 ms, the fork's
     own cost made processes the slowest of the three, one process
     included.  At m = 100 processes were faster at every size measured, by
-    9-15% on large blocks, which therefore still fold as threads did before
-    runs were forked.  Where `os.fork` does not exist, the runs are folded
-    here one after another.
+    9-15% on the large blocks that this rule puts on threads.  Where
+    `os.fork` does not exist, the runs are folded here one after another.
     """
     runs, at = [], 0
     processes = 1 if stage.light else min(workers, available_cores(), len(parts))
