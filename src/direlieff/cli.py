@@ -165,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p_rank)
     _add_rank_flags(p_rank)
     p_rank.add_argument("--workers", type=_positive_int, default=1,
-                        help="local processes a stage runs in, at most one per core; "
-                             "a cluster worker takes --threads")
+                        help="runs a local stage is cut into, at most one per core: the "
+                             "neighbour stage's fold in forked processes, the others' "
+                             "on threads; a cluster worker takes --threads")
     p_rank.add_argument("--backend", choices=("local", "cluster"), default="local")
     p_rank.add_argument("--cluster-workers", type=_addr_list, default=None,
                         help="comma-separated host:port list")
@@ -226,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--host", default="127.0.0.1")
     p_worker.add_argument("--port", type=_port, default=0, help="0-65535; 0 picks a free port")
     p_worker.add_argument("--threads", type=_positive_int, default=1,
-                          help="processes this worker runs a stage in, at most one per core")
+                          help="runs this worker cuts a stage into, at most one per core: "
+                               "the neighbour stage's fold in forked processes, the "
+                               "others' on threads")
 
     return parser
 

@@ -12,13 +12,13 @@ REGISTER is the JSON object {"protocol": PROTOCOL_VERSION}, here 3.  Past
 it and the stage names, payloads are `wire` arrays.  ASSIGN_PARTITIONS
 holds the schema as JSON, each partition's global index and row count,
 then the partitions' ids, labels and values (`encode_assignment`).  A
-worker runs a stage in up to `--threads` processes, itself and forked
-children, each folding a contiguous run of partitions from one zero
-(`fold_runs`); the worker combines its processes' results, and the driver
-the workers', in partition order.  The driver enforces
-`EngineConfig.max_result_bytes`: it reads a STAGE_RESULT header and
-rejects a result over the cap before it reads the payload.  Error policy
-is fail-fast: any worker failure aborts the whole run.
+worker cuts a stage into up to `--threads` contiguous runs of partitions,
+each folded from one zero on a thread of its own or, for the neighbour
+stage, in a forked child (`fold_runs`); the worker combines its runs'
+results, and the driver the workers', in partition order.  The driver
+enforces `EngineConfig.max_result_bytes`: it reads a STAGE_RESULT header
+and rejects a result over the cap before it reads the payload.  Error
+policy is fail-fast: any worker failure aborts the whole run.
 """
 
 from __future__ import annotations
@@ -74,6 +74,9 @@ _KNOWN_TAGS = frozenset(
 
 _FRAME_HEAD = struct.Struct("!IB")
 _MAX_FRAME_PAYLOAD = 2**32 - 1
+# The most bytes a frame's buffer commits before any of them arrives
+# (`_recvall`); a payload of this size or less is read into one allocation.
+_FIRST_READ = 64 * 2**20
 
 
 class ClusterError(EngineError):
@@ -96,11 +99,17 @@ def encode_frame(tag: int, payload: bytes) -> bytes:
 
 
 def _recvall(conn: socket.socket, n: int) -> bytearray:
-    """The next `n` bytes on `conn`, received straight into one buffer."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
+    """The next `n` bytes on `conn`, received straight into one buffer.
+    The buffer starts at `_FIRST_READ` bytes at most and doubles each time
+    it fills, so a peer that announces more than it sends makes this commit
+    no more than `_FIRST_READ` or twice what arrived, whichever is larger."""
+    buf = bytearray(min(n, _FIRST_READ))
+    view, got = memoryview(buf), 0
     while got < n:
+        if got == len(buf):
+            view.release()
+            buf += bytes(min(n, 2 * got) - got)  # calloc'd: commits only `buf`'s new part
+            view = memoryview(buf)
         size = conn.recv_into(view[got:])
         if not size:
             raise ConnectionError("connection closed mid-frame")

@@ -2,12 +2,12 @@
 
 A dataset is a schema plus an ordered list of `InstanceBlock` partitions.
 The engine has one action, `run_stage`: the partitions are cut into one
-contiguous run per worker process, each process folds its run of
-partitions from one zero, the caller's own process the first run and a
-forked child each other, and the runs' results are combined on the driver
-in partition order (`fold_runs`).  A stage whose fold and combiner are
-exact and associative, as every registered stage's are, yields a result
-independent of the process count and of how the rows are partitioned.
+contiguous run per worker, each run is folded from one zero, the first by
+the caller and each other on a thread or, for a stage that `forks`, in a
+forked child, and the runs' results are combined on the driver in
+partition order (`fold_runs`).  A stage whose fold and combiner are exact
+and associative, as every registered stage's are, yields a result
+independent of the worker count and of how the rows are partitioned.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InstanceBlock, Schema
-from .neighbors import LARGE_BLOCK_ELEMS
 
 __all__ = [
     "EngineConfig",
@@ -51,11 +50,13 @@ class EmptyDatasetError(EngineError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """`workers` is the most processes a stage runs in; `fold_runs` uses no
-    more processes than the caller has cores.  `max_result_bytes` is the
-    cluster driver's cap on each worker's STAGE_RESULT payload for a stage,
-    whose stage name adds 4 + len(name) bytes; `LocalEngine` ignores it,
-    since a local result is never encoded."""
+    """`workers` is the most runs a stage is cut into, each folded on a
+    thread or, for a stage that `forks`, in a process of its own;
+    `fold_runs` cuts no more runs than the caller has cores.
+    `max_result_bytes` is the cluster driver's cap on each worker's
+    STAGE_RESULT payload for a stage, whose stage name adds 4 + len(name)
+    bytes; `LocalEngine` ignores it, since a local result is never
+    encoded."""
 
     workers: int = 1
     max_result_bytes: int = DEFAULT_MAX_RESULT_BYTES
@@ -105,10 +106,9 @@ def draw_sample_positions(n: int, m: int, seed: int) -> list[int]:
 
 def fold_runs(stage, schema, params, parts, workers: int):
     """`stage` folded over `parts`, (partition index, block) pairs in
-    ascending index order, in at most `workers` processes, and in no more
-    processes than this one has cores (`available_cores`), which more
-    processes would only take turns on; a `light` stage in this process
-    alone.
+    ascending index order, in at most `workers` runs, and in no more runs
+    than this process has cores (`available_cores`), which more runs would
+    only take turns on.
 
     The parts are cut into that many contiguous runs, at most one per part
     (`split_sizes`).  Each run is folded in order into one `make_zero` with
@@ -120,34 +120,18 @@ def fold_runs(stage, schema, params, parts, workers: int):
     neighbour stage a merge per partition and, once its cells are full, the
     k-th cut.
 
-    The caller folds the first run; each other run is folded by a child
-    forked for it (`_fork_run`), which shares the blocks copy-on-write and
-    sends its result back (`_receive`).  A child's exception is raised here
-    with its type and message.  A child that ends without a result, or a
-    failure of the caller's own run, is an EngineError or that failure once
-    every child is killed and reaped: no child outlives the call.  Processes,
-    not threads: the neighbour pass makes many short numpy calls, and two
-    threads hand the GIL to each other at every one.  On 2 vCPUs (numpy
-    2.4) `local_rank`'s pass took 0.096-0.111 s in one process, 0.083-0.090
-    s on two threads and 0.061-0.062 s in two processes.  Where every block
-    holds `LARGE_BLOCK_ELEMS` values or more, the runs are folded on
-    threads instead (`_thread_runs`): such blocks get the neighbour
-    kernel's larger chunks, whose calls are long enough for threads to
-    scale, and threads pay no fork and no reap.  That is where the two
-    cross for m = 10 over four partitions of 20 features, criterion 5's
-    shape, on 2 vCPUs (numpy 2.4; `BENCH_fork.json`, `crossover`): threads
-    took 15-18% longer than processes at 104,857 rows a block, the last
-    count under the bound, and 6-11% less at 104,858 (9 alternated `rank`
-    runs, each side faster in 8-9 of 9); at 150k-250k rows the two were
-    within 5%.  At 12,500-25,000 rows, `rank`s of under 30 ms, the fork's
-    own cost made processes the slowest of the three, one process
-    included.  At m = 100 processes were faster at every size measured, by
-    9-15% on the large blocks that this rule puts on threads.  Where
+    The caller folds the first run.  A stage that does not set `forks`
+    folds each other run on a thread of its own (`_thread_runs`).  Where
     `os.fork` does not exist, the runs are folded here one after another.
+    Otherwise each other run is folded by a child forked for it
+    (`_fork_run`), which shares the blocks copy-on-write and sends its
+    result back (`_receive`).  A child's exception is raised here with its
+    type and message.  A child that ends without a result, or a failure of
+    the caller's own run, is an EngineError or that failure once every
+    child is killed and reaped: no child outlives the call.
     """
     runs, at = [], 0
-    processes = 1 if stage.light else min(workers, available_cores(), len(parts))
-    for size in split_sizes(len(parts), max(1, processes)):
+    for size in split_sizes(len(parts), max(1, min(workers, available_cores(), len(parts)))):
         runs.append(parts[at : at + size])
         at += size
 
@@ -157,10 +141,12 @@ def fold_runs(stage, schema, params, parts, workers: int):
             acc = stage.run_block(acc, block, params, schema, index)
         return acc
 
-    if len(runs) == 1 or not hasattr(os, "fork"):
-        return functools.reduce(stage.comb, map(fold, runs))
-    if _on_threads(parts):
+    if len(runs) == 1:
+        return fold(runs[0])
+    if not stage.forks:
         return functools.reduce(stage.comb, _thread_runs(fold, runs))
+    if not hasattr(os, "fork"):
+        return functools.reduce(stage.comb, map(fold, runs))
     children = []  # (pid, read end) of the children not yet reaped, in run order
     try:
         for run in runs[1:]:
@@ -180,12 +166,6 @@ def fold_runs(stage, schema, params, parts, workers: int):
     finally:
         for child in children:
             _reap(child, kill=True)
-
-
-def _on_threads(parts) -> bool:
-    """Whether runs of `parts` are folded on threads: every block holds
-    `LARGE_BLOCK_ELEMS` values or more (`fold_runs`)."""
-    return all(block.values.size >= LARGE_BLOCK_ELEMS for _, block in parts)
 
 
 def _thread_runs(fold, runs) -> list:
@@ -389,21 +369,21 @@ def _check_unique_ids(blocks) -> None:
 
 
 class LocalEngine:
-    """Runs stages over a dataset's partitions in forked processes.
+    """Runs stages over a dataset's partitions in this process's threads
+    and, for the neighbour stage, in forked processes.
 
-    Each process's result, the fold of its contiguous run of partitions, is
-    combined sequentially on the driver in partition order.  A stage runs
-    in `config.workers` processes, the driver's own among them, or on as
-    many threads where every block is large, but in no more than the cores
-    (`fold_runs`).  A child's result comes back pickled, so no stage codec
-    is called.
+    Each run's result, the fold of its contiguous run of partitions, is
+    combined sequentially on the driver in partition order.  A stage is cut
+    into `config.workers` runs, the driver's own among them, but into no
+    more than the cores (`fold_runs`).  A child's result comes back
+    pickled, so no stage codec is called.
     """
 
     def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
 
     def run_stage(self, ds: PartitionedDataset, stage, params):
-        """Run a registered stage with `fold_runs`: each process's
+        """Run a registered stage with `fold_runs`: each worker's
         contiguous run of partitions from one zero, then the stage combiner
         in run order."""
         parts = [(i, ds.partition(i)) for i in range(ds.num_partitions)]

@@ -87,11 +87,13 @@ __all__ = ["NeighborMatrix", "tiling"]
 TILE_ELEMS = 1 << 17
 CHUNK_ELEMS = 1 << 17
 # Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get chunks
-# `LARGE_SCALE` times larger, which makes fewer calls per element: on
-# criterion 5's four 250k x 20 partitions (2 vCPUs, numpy 2.4) a rank took
-# about 13% less time in one process and 9% less in two than with the
-# smaller cap.  The larger chunk is about a quarter of a block at this
-# size, so smaller blocks keep the smaller cap.
+# `LARGE_SCALE` times larger, which makes fewer calls per element.  That no
+# longer saves time: on criterion 5's four 250k x 20 partitions (m = 10,
+# 2 vCPUs, numpy 2.4) a rank took 13-22% longer in one process, and 7-12%
+# longer in two forked runs, than with the smaller cap (two batches of 21
+# alternated pairs; `BENCH_stages.json`, `large_scale`).  The larger chunk
+# is about a quarter of a block at this size, so smaller blocks keep the
+# smaller cap.
 LARGE_BLOCK_ELEMS = 1 << 21
 LARGE_SCALE = 4
 # A tile spans a run of about `RUN_ELEMS // m` rows for m samples,

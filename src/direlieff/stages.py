@@ -54,14 +54,14 @@ def check_block(ids: np.ndarray, labels: np.ndarray, values: np.ndarray, schema:
 
 
 class Stage:
-    """Base stage: subclasses set `name` and override the hooks.  A stage
-    whose fold costs less than a forked process sets `light`, and
-    `engine.fold_runs` folds all of its partitions in the caller: a fork,
-    the child's exit and its reaping took 2-5 ms in a process holding 1M x
-    20 rows (2 vCPUs)."""
+    """Base stage: subclasses set `name` and override the hooks.
+    `engine.fold_runs` folds a stage's runs on threads, or in forked
+    processes where it sets `forks`.  A fold of a few long numpy calls per
+    block, which release the GIL, does not fork: a fork, its exit and its
+    reaping take 2-5 ms in a process holding 1M x 20 rows (2 vCPUs)."""
 
     name = ""
-    light = False
+    forks = False
 
     def make_zero(self, schema: Schema, params):
         raise NotImplementedError
@@ -146,7 +146,6 @@ class PriorsStage(Stage):
     """Class occurrence counts; integer addition, hence exact."""
 
     name = "priors"
-    light = True  # one `bincount` of the labels: 3 ms over 1M rows
 
     def make_zero(self, schema, params):
         return np.zeros(schema.num_classes, dtype=np.int64)
@@ -181,7 +180,6 @@ class FetchStage(Stage):
     ascending position order."""
 
     name = "fetch"
-    light = True  # a gather of the sampled rows
 
     def make_zero(self, schema, params):
         return InstanceBlock(np.empty(0), np.empty(0), np.empty((0, schema.num_features)))
@@ -224,9 +222,12 @@ class NeighborParams:
 
 
 class NeighborsStage(Stage):
-    """Fills the per-(class, sample) nearest-neighbour matrix."""
+    """Fills the per-(class, sample) nearest-neighbour matrix.  Its runs
+    fork: the pass makes many short numpy calls, and two threads would hand
+    the GIL to each other at every one (README, on `--workers`)."""
 
     name = "neighbors"
+    forks = True
 
     def make_zero(self, schema, params):
         return NeighborMatrix(schema.num_classes, params.samples.ids, params.k, schema.num_features)

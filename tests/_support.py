@@ -187,8 +187,8 @@ def reap(procs, timeout: float = 15.0) -> list[int]:
 
 
 def uncapped_threads():
-    """While active, `fold_runs` starts as many threads as it is asked for,
-    however few cores the host has, so that a test of the thread count runs
+    """While active, `fold_runs` cuts as many runs as it is asked for,
+    however few cores the host has, so that a test of the run count runs
     every count it draws."""
     return mock.patch.object(engine, "available_cores", return_value=1 << 10)
 

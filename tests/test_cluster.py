@@ -5,6 +5,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,9 +78,12 @@ class TestFraming:
             encode_frame(0, b"")
 
     @pytest.mark.parametrize("cut", [0, 1, 1 << 19])
-    def test_large_frame_over_a_socket(self, cut):
-        """A frame larger than the socket's buffers arrives whole while it
-        is still being sent; cut short by `cut` bytes, it fails mid-frame."""
+    def test_large_frame_over_a_socket(self, monkeypatch, cut):
+        """A frame larger than the socket's buffers, and than the reader's
+        first buffer (`_FIRST_READ`, made small here), arrives whole while
+        it is still being sent; cut short by `cut` bytes, it fails
+        mid-frame."""
+        monkeypatch.setattr(cluster, "_FIRST_READ", 1000)
         payload = np.random.default_rng(0).bytes(3 << 20)
         frame = encode_frame(MSG_STAGE_RESULT, payload)
         sender, receiver = socket.socketpair()
@@ -375,6 +379,38 @@ class TestDriverReplies:
         cap = EngineConfig(max_result_bytes=1000)
         self.assert_rejected(mixed_dataset, replies, "STAGE_RESULT of 1048576 bytes exceeds cap 1000", cap)
         assert time.perf_counter() - t0 < 5.0  # well inside the driver's 10 s timeout
+
+
+def test_announced_length_is_not_committed(mixed_dataset):
+    """A STAGE_RESULT header that announces 1 GiB, under the default cap,
+    then a few bytes and a hang-up, is a ClusterError; the driver's buffer
+    commits no more than `_FIRST_READ` (traced allocations), not 1 GiB.
+    The worker reads ASSIGN frames with the same reader."""
+    srv = socket.create_server(("127.0.0.1", 0))
+    stored = cluster._pack_named("assign", pack(np.array([60])))
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            conn.sendall(encode_frame(MSG_REGISTER, json.dumps({"protocol": PROTOCOL_VERSION}).encode("utf-8")))
+            read_frame(conn)
+            conn.sendall(encode_frame(MSG_STAGE_RESULT, stored))
+            read_frame(conn)
+            conn.sendall(struct.pack("!IB", 1 << 30, MSG_STAGE_RESULT) + b"abc")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = srv.getsockname()[:2]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClusterError, match=f"worker {host}:{port}: connection lost: connection closed mid-frame"):
+            ClusterEngine([(host, port)], timeout=10.0).run_stage(mixed_dataset, RANGES, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        thread.join(timeout=10.0)
+        srv.close()
+    assert peak < 96 << 20  # a 64 MiB first read and the rest of the run
 
 
 class TestWorkerProcess:

@@ -25,6 +25,7 @@ from direlieff.engine import (
     split_sizes,
 )
 from direlieff.model import DiffConfig, DiffMode, FeatureRange, Instance, InstanceBlock, ModelError, RankConfig
+from direlieff.neighbors import LARGE_BLOCK_ELEMS
 from direlieff.pipeline import rank, select_samples
 from direlieff.stages import FETCH, NEIGHBORS, PRIORS, RANGES, FetchParams, NeighborParams, PriorsStage, RangesStage, Stage
 
@@ -60,7 +61,7 @@ class TestSplitSizes:
 
 
 class TestAggregate:
-    """`run_stage`: each process's contiguous run of partitions folded from
+    """`run_stage`: each worker's contiguous run of partitions folded from
     one zero, the runs' results combined in partition order."""
 
     def test_count_shape(self):
@@ -98,20 +99,18 @@ class TestAggregate:
         monkeypatch.setattr(engine_mod, "available_cores", lambda: cores)
         monkeypatch.setattr(engine_mod, "_fork_run", lambda fold, run, fds: forked.append(len(run)) or fork_run(fold, run, fds))
         ds = make_ds(60, 8)
-        mins, maxs = LocalEngine(EngineConfig(workers=workers)).run_stage(ds, RANGES, None)
+        mins, maxs = LocalEngine(EngineConfig(workers=workers)).run_stage(ds, ForkedRanges(), None)
         assert np.array_equal(mins, whole(ds).values.min(axis=0))
         assert np.array_equal(maxs, whole(ds).values.max(axis=0))
         assert forked == split_sizes(8, processes)[1:]  # the caller folds the first run
         assert_no_children()
 
-    @pytest.mark.parametrize("stage", [PRIORS, FETCH], ids=["priors", "fetch"])
-    def test_light_stage_forks_nothing(self, monkeypatch, stage):
-        monkeypatch.setattr(engine_mod, "_fork_run", lambda *args: pytest.fail("a light stage forked"))
-        ds = make_ds(60, 8)
-        params = FetchParams(np.arange(0, 60, 7), np.cumsum(ds.partition_lens())) if stage is FETCH else None
-        with uncapped_threads():
-            got = LocalEngine(EngineConfig(workers=4)).run_stage(ds, stage, params)
-        assert_bit_equal(stage, got, per_partition_fold(ds, stage, params))
+    @pytest.mark.parametrize("stage", [RANGES, PRIORS, FETCH], ids=["ranges", "priors", "fetch"])
+    def test_stage_folds_on_threads(self, monkeypatch, stage):
+        assert_folds_on_threads(monkeypatch, make_ds(60, 8), stage)
+
+    def test_neighbour_stage_forks(self, monkeypatch):
+        assert_neighbour_stage_forks(monkeypatch, make_ds(60, 8))
 
     def test_calls_no_codec(self, monkeypatch):
         """Local results never leave the process: a rank whose stage codecs
@@ -190,9 +189,9 @@ def assert_bit_equal(stage, got, want):
 
 
 class TestThreadRuns:
-    """Every stage on either backend, at any process count, is bit-equal to
+    """Every stage on either backend, at any worker count, is bit-equal to
     folding each partition from a fresh zero and combining the partials in
-    partition order, though each process folds its whole run into one zero.
+    partition order, though each run is folded whole into one zero.
     The cluster worker is a process forked from this one, so that it
     inherits `uncapped_threads` and forks its runs from a process with no
     second live thread."""
@@ -216,8 +215,14 @@ class TestThreadRuns:
                 assert_bit_equal(stage, eng.run_stage(ds, stage, params), per_partition_fold(ds, stage, params))
 
 
-class Failing(RangesStage):
-    """The ranges stage, but the fold of partition `at` calls `act(pid)`,
+class ForkedRanges(RangesStage):
+    """The ranges stage, its runs folded in forked processes."""
+
+    forks = True
+
+
+class Failing(ForkedRanges):
+    """`ForkedRanges`, but the fold of partition `at` calls `act(pid)`,
     pid being the process that called `fold_runs`."""
 
     def __init__(self, at, act):
@@ -327,55 +332,68 @@ class TestForkedRuns:
 def large_ds(parts=2, seed=3):
     """`parts` partitions of `LARGE_BLOCK_ELEMS` values each, 8 numeric features."""
     a = 8
-    n = parts * -(-engine_mod.LARGE_BLOCK_ELEMS // a)
+    n = parts * -(-LARGE_BLOCK_ELEMS // a)
     rng = np.random.default_rng(seed)
     block = InstanceBlock(np.arange(n), rng.integers(0, 2, n), rng.normal(size=(n, a)))
     return PartitionedDataset.split(block, parts, numeric_schema(a))
 
 
-class TestLargeBlocks:
-    """Where every block holds `LARGE_BLOCK_ELEMS` values or more, runs
-    fold on threads: nothing forks, results are the same, and a thread's
-    exception is raised in the caller."""
+def assert_folds_on_threads(monkeypatch, ds, stage):
+    """`stage` over `ds` at 2 workers starts one thread, forks nothing and
+    equals the per-partition fold."""
+    params = FetchParams(np.arange(0, len(whole(ds)), 7), np.cumsum(ds.partition_lens())) if stage is FETCH else None
+    started, start = [], threading.Thread.start
+    with monkeypatch.context() as patch, uncapped_threads():
+        patch.setattr(engine_mod, "_fork_run", lambda *args: pytest.fail(f"{stage.name} forked"))
+        patch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        got = LocalEngine(EngineConfig(workers=2)).run_stage(ds, stage, params)
+    assert_bit_equal(stage, got, per_partition_fold(ds, stage, params))
+    assert len(started) == 1  # the caller folds the first run
 
-    def no_forks(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_fork_run", lambda *args: pytest.fail("a large block forked"))
+
+def assert_neighbour_stage_forks(monkeypatch, ds):
+    """The neighbour stage over `ds` at 2 workers forks one child and
+    equals the per-partition fold."""
+    ranges = FeatureRange(*per_partition_fold(ds, RANGES, None), ds.schema.numeric_mask())
+    params = NeighborParams(whole(ds).take(np.arange(3)), 2, ranges, DiffConfig())
+    forked, fork_run = [], engine_mod._fork_run
+    with monkeypatch.context() as patch, uncapped_threads():
+        patch.setattr(engine_mod, "_fork_run", lambda *args: forked.append(1) or fork_run(*args))
+        got = LocalEngine(EngineConfig(workers=2)).run_stage(ds, NEIGHBORS, params)
+    assert_bit_equal(NEIGHBORS, got, per_partition_fold(ds, NEIGHBORS, params))
+    assert forked == [1]
+    assert_no_children()
+
+
+class TestLargeBlocks:
+    """Blocks of `LARGE_BLOCK_ELEMS` values or more, which get the neighbour
+    kernel's larger chunks, fold as small ones do (`TestAggregate`):
+    ranges, priors and fetch on threads, the neighbour stage in forks."""
 
     def test_stages_fold_on_threads(self, monkeypatch):
-        ds, eng = large_ds(), LocalEngine(EngineConfig(workers=2))
-        self.no_forks(monkeypatch)
-        started, start = [], threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-        with uncapped_threads():
-            assert_bit_equal(RANGES, eng.run_stage(ds, RANGES, None), per_partition_fold(ds, RANGES, None))
-        assert len(started) == 1
-        assert_no_children()
+        ds = large_ds()
+        for stage in (RANGES, PRIORS, FETCH):
+            assert_folds_on_threads(monkeypatch, ds, stage)
 
-    def test_rank_matches_one_process(self, monkeypatch):
+    def test_neighbour_stage_forks(self, monkeypatch):
+        assert_neighbour_stage_forks(monkeypatch, large_ds())
+
+    def test_rank_matches_one_process(self):
         ds, cfg = large_ds(), RankConfig(m=3, k=2, seed=4)
-        want = rank(ds, cfg, LocalEngine()).weights
-        self.no_forks(monkeypatch)
+        want = rank(ds, cfg, LocalEngine()).weights.values
         with uncapped_threads():
-            assert rank(ds, cfg, LocalEngine(EngineConfig(workers=2))).weights == want
+            got = rank(ds, cfg, LocalEngine(EngineConfig(workers=2))).weights.values
+        assert got.tobytes() == want.tobytes()
+        assert_no_children()
 
     def test_thread_exception_is_raised(self):
         def act(caller):
             raise ModelError("partition 1 failed")
 
+        stage = Failing(1, act)
+        stage.forks = False
         with uncapped_threads(), pytest.raises(ModelError, match="^partition 1 failed$"):
-            LocalEngine(EngineConfig(workers=2)).run_stage(large_ds(), Failing(1, act), None)
-
-    def test_one_small_block_forks(self, monkeypatch):
-        big = large_ds()
-        blocks = [big.partition(0), big.partition(1).slice(0, 100)]
-        ds = PartitionedDataset.from_blocks(blocks, big.schema)
-        forked, fork_run = [], engine_mod._fork_run
-        monkeypatch.setattr(engine_mod, "_fork_run", lambda *args: forked.append(1) or fork_run(*args))
-        with uncapped_threads():
-            got = LocalEngine(EngineConfig(workers=2)).run_stage(ds, RANGES, None)
-        assert_bit_equal(RANGES, got, per_partition_fold(ds, RANGES, None))
-        assert forked == [1]
-        assert_no_children()
+            LocalEngine(EngineConfig(workers=2)).run_stage(large_ds(), stage, None)
 
 
 class TestTakeSample:
