@@ -251,7 +251,7 @@ def _cmd_rank(args) -> int:
         print("error: --cluster-workers requires --backend cluster", file=sys.stderr)
         return 1
     if args.backend == "cluster" and args.workers > 1:
-        print("error: --workers sets local processes; a cluster worker takes --threads", file=sys.stderr)
+        print("error: --workers sets local runs; a cluster worker takes --threads", file=sys.stderr)
         return 1
     ds = _load_dataset(args)
     config = _rank_config(args)

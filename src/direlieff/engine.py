@@ -3,9 +3,9 @@
 A dataset is a schema plus an ordered list of `InstanceBlock` partitions.
 The engine has one action, `run_stage`: the partitions are cut into one
 contiguous run per worker, each run is folded from one zero, the first by
-the caller and each other on a thread or, for a stage that `forks`, in a
-forked child, and the runs' results are combined on the driver in
-partition order (`fold_runs`).  A stage whose fold and combiner are exact
+the caller and each other on a pool thread or, for a stage that `forks`,
+in a forked child that pickles its result back, and the runs' results are
+combined on the driver in partition order (`fold_runs`).  A stage whose fold and combiner are exact
 and associative, as every registered stage's are, yields a result
 independent of the worker count and of how the rows are partitioned.
 """
@@ -13,13 +13,10 @@ independent of the worker count and of how the rows are partitioned.
 from __future__ import annotations
 
 import functools
-import io
 import os
 import pickle
 import random
 import signal
-import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,15 +117,18 @@ def fold_runs(stage, schema, params, parts, workers: int):
     neighbour stage a merge per partition and, once its cells are full, the
     k-th cut.
 
-    The caller folds the first run.  A stage that does not set `forks`
-    folds each other run on a thread of its own (`_thread_runs`).  Where
-    `os.fork` does not exist, the runs are folded here one after another.
-    Otherwise each other run is folded by a child forked for it
-    (`_fork_run`), which shares the blocks copy-on-write and sends its
-    result back (`_receive`).  A child's exception is raised here with its
-    type and message.  A child that ends without a result, or a failure of
-    the caller's own run, is an EngineError or that failure once every
-    child is killed and reaped: no child outlives the call.
+    The caller folds the first run.  A stage that does not set `forks`,
+    and every stage where `os.fork` does not exist, folds each other run on
+    a thread of a pool with one thread per other run; the results are taken
+    in run order once the caller's run is folded, and the first exception
+    in run order is raised once every thread has ended.  Otherwise each
+    other run is folded by a child forked for it (`_fork_run`), which
+    shares the blocks copy-on-write and pickles its result into a pipe
+    (`_receive`).  A child's exception is raised here with its type and
+    message.  A child that ends without a whole reply, as one whose result
+    cannot be pickled does, or a failure of the caller's own run, is an
+    EngineError or that failure once every child is killed and reaped: no
+    child outlives the call.
     """
     runs, at = [], 0
     for size in split_sizes(len(parts), max(1, min(workers, available_cores(), len(parts)))):
@@ -143,10 +143,12 @@ def fold_runs(stage, schema, params, parts, workers: int):
 
     if len(runs) == 1:
         return fold(runs[0])
-    if not stage.forks:
-        return functools.reduce(stage.comb, _thread_runs(fold, runs))
-    if not hasattr(os, "fork"):
-        return functools.reduce(stage.comb, map(fold, runs))
+    if not stage.forks or not hasattr(os, "fork"):
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(len(runs) - 1) as pool:
+            futures = [pool.submit(fold, run) for run in runs[1:]]
+            return functools.reduce(stage.comb, [fold(runs[0]), *(future.result() for future in futures)])
     children = []  # (pid, read end) of the children not yet reaped, in run order
     try:
         for run in runs[1:]:
@@ -168,43 +170,13 @@ def fold_runs(stage, schema, params, parts, workers: int):
             _reap(child, kill=True)
 
 
-def _thread_runs(fold, runs) -> list:
-    """The folds of `runs`, the first on this thread and each other on a
-    thread of its own; once every thread has ended, the first exception in
-    run order is raised."""
-    results, errors = [None] * len(runs), [None] * len(runs)
-
-    def work(i):
-        try:
-            results[i] = fold(runs[i])
-        except BaseException as exc:
-            errors[i] = exc
-
-    started = []
-    try:
-        for i in range(1, len(runs)):
-            started.append(threading.Thread(target=work, args=(i,)))
-            started[-1].start()
-        work(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
-# A reply: its pickle's length and its out-of-band buffer count, the
-# buffers' lengths, the pickle, then the buffers.
-_REPLY_HEAD = struct.Struct("!QQ")
-
-
 def _fork_run(fold, run, inherited) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a child that folds `run` and sends
-    back (True, result) or (False, exception), then exits; the child
-    closes the `inherited` read ends, the other children's, so that none is
-    held open past its parent."""
+    """(pid, read end of its pipe) of a child that folds `run`, writes
+    (True, result) or (False, exception) to the pipe with `pickle.dump`
+    (protocol 5, which writes an array's memory as it is), then exits 0;
+    a reply that fails to pickle exits 1.  The child closes the `inherited`
+    read ends, the other children's, so that none is held open past its
+    parent."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -224,13 +196,8 @@ def _fork_run(fold, run, inherited) -> tuple[int, int]:
             reply = (True, fold(run))
         except BaseException as exc:
             reply = (False, _portable(exc))
-        try:
-            frames = _frames(reply)
-        except Exception as exc:  # a result that pickle cannot send
-            frames = _frames((False, EngineError(f"run result {type(reply[1]).__name__} cannot be sent: {exc!r}")))
         with open(w, "wb") as out:
-            for frame in frames:
-                out.write(frame)
+            pickle.dump(reply, out, protocol=5)
         code = 0
     finally:
         os._exit(code)
@@ -246,39 +213,15 @@ def _portable(exc: BaseException) -> BaseException:
         return EngineError(repr(exc))
 
 
-def _frames(obj) -> list:
-    """`obj` pickled with protocol 5 as the frames of a reply: large
-    contiguous arrays go out of band, as raw views of their memory."""
-    buffers = []
-    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    raws = [buf.raw() for buf in buffers]
-    head = _REPLY_HEAD.pack(len(data), len(raws)) + struct.pack(f"!{len(raws)}Q", *(r.nbytes for r in raws))
-    return [head, data, *raws]
-
-
 def _receive(fd: int):
-    """The reply read from `fd`, each out-of-band buffer read straight into
-    the array that unpickling then wraps; None if the pipe ends first."""
-    pipe = io.FileIO(fd, "rb", closefd=False)
-
-    def read(n: int) -> np.ndarray:
-        buf = np.empty(n, np.uint8)
-        view, got = memoryview(buf), 0
-        while got < n:
-            size = pipe.readinto(view[got:])
-            if not size:
-                raise EOFError
-            got += size
-        return buf
-
-    try:
-        size, count = _REPLY_HEAD.unpack(read(_REPLY_HEAD.size))
-        lengths = struct.unpack(f"!{count}Q", read(8 * count))
-        data = read(size)
-        buffers = [read(n) for n in lengths]
-    except EOFError:
-        return None
-    return pickle.loads(data, buffers=buffers)
+    """The reply read from `fd`; None if the pipe ends before a whole
+    pickle.  The reader is buffered: a raw one hands `pickle.load` the
+    pipe's short reads, which it takes for a truncated pickle."""
+    with open(fd, "rb", closefd=False) as pipe:
+        try:
+            return pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            return None
 
 
 def _reap(child: tuple[int, int], kill: bool):

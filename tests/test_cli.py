@@ -89,11 +89,11 @@ class TestRankCommand:
         assert not out.exists()
 
     def test_cluster_backend_takes_no_local_threads(self, tmp_path, capsys):
-        # a cluster worker's processes are its own --threads; the input is not read
+        # a cluster worker's runs are its own --threads; the input is not read
         code = main(["rank", "--input", str(tmp_path / "nope.csv"), "--backend", "cluster",
                      "--workers", "2", "--cluster-workers", "127.0.0.1:1"])
         assert code == 1
-        assert capsys.readouterr().err == "error: --workers sets local processes; a cluster worker takes --threads\n"
+        assert capsys.readouterr().err == "error: --workers sets local runs; a cluster worker takes --threads\n"
 
     def test_negative_seed_draws_samples(self, data_csv, tmp_path):
         out = tmp_path / "weights.csv"
@@ -392,7 +392,7 @@ BAD_VALUES = {
                               2, "argument --worker-counts: expected comma-separated integers >= 1, got -1 in '-1,2'"),
     "cluster-local-threads": (["rank", "--input", "{csv}", "--backend", "cluster", "--workers", "2",
                                "--cluster-workers", "127.0.0.1:1", "--output", "{out}"],
-                              1, "error: --workers sets local processes; a cluster worker takes --threads"),
+                              1, "error: --workers sets local runs; a cluster worker takes --threads"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import pickle
 import re
 import signal
 import threading
@@ -111,6 +112,10 @@ class TestAggregate:
 
     def test_neighbour_stage_forks(self, monkeypatch):
         assert_neighbour_stage_forks(monkeypatch, make_ds(60, 8))
+
+    def test_neighbour_stage_folds_on_threads_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert_folds_on_threads(monkeypatch, make_ds(60, 8), NEIGHBORS)
 
     def test_calls_no_codec(self, monkeypatch):
         """Local results never leave the process: a rank whose stage codecs
@@ -240,10 +245,12 @@ class Unpicklable(Exception):
 
 
 class Echo(Stage):
-    """Each run's result is a list of arrays made from its blocks, in the
-    layouts a pickle may send in or out of band; `comb` joins the lists."""
+    """Each run's result, folded in a forked child, is a list of arrays made
+    from its blocks, contiguous or not and of every size; `comb` joins the
+    lists."""
 
     name = "echo"
+    forks = True
 
     def make_zero(self, schema, params):
         return []
@@ -254,6 +261,14 @@ class Echo(Stage):
 
     def comb(self, a, b):
         return a + b
+
+
+class Unsendable(Echo):
+    """Each run's result, folded in a forked child, is a list of lambdas,
+    which pickle cannot write."""
+
+    def run_block(self, acc, block, params, schema, partition_index):
+        return acc + [lambda: partition_index]
 
 
 class TestForkedRuns:
@@ -328,6 +343,20 @@ class TestForkedRuns:
         assert got[6].nbytes > 8 * 2**20
         assert_no_children()
 
+    def test_unpicklable_result_is_named(self):
+        with uncapped_threads(), pytest.raises(EngineError, match=r"^run 2 of 2 \(partitions 2-3\) ended without a result: exit code 1$"):
+            self.engine().run_stage(make_ds(40, 4), Unsendable(), None)
+        assert_no_children()
+
+    def test_partial_reply_is_named(self, monkeypatch):
+        """A child that writes its reply's pickle but its last byte, the
+        STOP opcode, and exits 0."""
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dump", lambda obj, out, protocol: out.write(dumps(obj, protocol=protocol)[:-1]))
+        with uncapped_threads(), pytest.raises(EngineError, match=r"^run 2 of 2 \(partitions 2-3\) ended without a result: exit code 0$"):
+            self.engine().run_stage(make_ds(40, 4), ForkedRanges(), None)
+        assert_no_children()
+
 
 def large_ds(parts=2, seed=3):
     """`parts` partitions of `LARGE_BLOCK_ELEMS` values each, 8 numeric features."""
@@ -338,10 +367,21 @@ def large_ds(parts=2, seed=3):
     return PartitionedDataset.split(block, parts, numeric_schema(a))
 
 
+def stage_params(ds, stage):
+    """Parameters of `stage` over `ds`: every 7th row for fetch, the first
+    3 rows as samples with k = 2 for the neighbour stage, else None."""
+    if stage is FETCH:
+        return FetchParams(np.arange(0, len(whole(ds)), 7), np.cumsum(ds.partition_lens()))
+    if stage is NEIGHBORS:
+        ranges = FeatureRange(*per_partition_fold(ds, RANGES, None), ds.schema.numeric_mask())
+        return NeighborParams(whole(ds).take(np.arange(3)), 2, ranges, DiffConfig())
+    return None
+
+
 def assert_folds_on_threads(monkeypatch, ds, stage):
     """`stage` over `ds` at 2 workers starts one thread, forks nothing and
     equals the per-partition fold."""
-    params = FetchParams(np.arange(0, len(whole(ds)), 7), np.cumsum(ds.partition_lens())) if stage is FETCH else None
+    params = stage_params(ds, stage)
     started, start = [], threading.Thread.start
     with monkeypatch.context() as patch, uncapped_threads():
         patch.setattr(engine_mod, "_fork_run", lambda *args: pytest.fail(f"{stage.name} forked"))
@@ -354,8 +394,7 @@ def assert_folds_on_threads(monkeypatch, ds, stage):
 def assert_neighbour_stage_forks(monkeypatch, ds):
     """The neighbour stage over `ds` at 2 workers forks one child and
     equals the per-partition fold."""
-    ranges = FeatureRange(*per_partition_fold(ds, RANGES, None), ds.schema.numeric_mask())
-    params = NeighborParams(whole(ds).take(np.arange(3)), 2, ranges, DiffConfig())
+    params = stage_params(ds, NEIGHBORS)
     forked, fork_run = [], engine_mod._fork_run
     with monkeypatch.context() as patch, uncapped_threads():
         patch.setattr(engine_mod, "_fork_run", lambda *args: forked.append(1) or fork_run(*args))
