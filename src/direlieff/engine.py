@@ -5,9 +5,10 @@ The engine has one action, `run_stage`: the partitions are cut into one
 contiguous run per worker, each run is folded from one zero, the first by
 the caller and each other on a pool thread or, for a stage that `forks`,
 in a forked child that pickles its result back, and the runs' results are
-combined on the driver in partition order (`fold_runs`).  A stage whose fold and combiner are exact
-and associative, as every registered stage's are, yields a result
-independent of the worker count and of how the rows are partitioned.
+combined on the driver in partition order (`fold_runs`).  A stage whose
+fold and combiner are exact and associative, as every registered stage's
+are, yields a result independent of the worker count and of how the rows
+are partitioned.
 """
 
 from __future__ import annotations

@@ -87,13 +87,17 @@ __all__ = ["NeighborMatrix", "tiling"]
 TILE_ELEMS = 1 << 17
 CHUNK_ELEMS = 1 << 17
 # Blocks of at least `LARGE_BLOCK_ELEMS` elements (16 MiB) get chunks
-# `LARGE_SCALE` times larger, which makes fewer calls per element.  That no
-# longer saves time: on criterion 5's four 250k x 20 partitions (m = 10,
-# 2 vCPUs, numpy 2.4) a rank took 13-22% longer in one process, and 7-12%
-# longer in two forked runs, than with the smaller cap (two batches of 21
-# alternated pairs; `BENCH_stages.json`, `large_scale`).  The larger chunk
-# is about a quarter of a block at this size, so smaller blocks keep the
-# smaller cap.
+# `LARGE_SCALE` times larger, which makes fewer calls per element.  That
+# saves no time (2 vCPUs, numpy 2.4, alternated fresh processes;
+# `BENCH_transport.json`, `large_scale`).  On criterion 5's four 250k x 20
+# partitions (m = 10) the median t1 was 0.284 s at 4x against 0.249 s at
+# 1x, and t4 0.174 against 0.147 s (20 runs each).  On 4,000 x 2,000 rows
+# (m = 200) a rank at 1x took 0.99 of the time at 4x in one partition and
+# 1.02 in two at 2 workers (16 pairs each, runs spread over 2.2-6.1 s).
+# It stays until a change to `tiling` drops it with `LARGE_BLOCK_ELEMS` and
+# the tests of the larger chunk, judged by criterion 5's pass count (11 of
+# 20 runs at 1x, 9 of 20 at 4x).  The larger chunk is about a quarter of a
+# block at this size, so smaller blocks keep the smaller cap.
 LARGE_BLOCK_ELEMS = 1 << 21
 LARGE_SCALE = 4
 # A tile spans a run of about `RUN_ELEMS // m` rows for m samples,

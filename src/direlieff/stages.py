@@ -56,9 +56,10 @@ def check_block(ids: np.ndarray, labels: np.ndarray, values: np.ndarray, schema:
 class Stage:
     """Base stage: subclasses set `name` and override the hooks.
     `engine.fold_runs` folds a stage's runs on threads, or in forked
-    processes where it sets `forks` and `os.fork` exists.  A fold of a few long numpy calls per
-    block, which release the GIL, does not fork: a fork, its exit and its
-    reaping take 2-5 ms in a process holding 1M x 20 rows (2 vCPUs)."""
+    processes where it sets `forks` and `os.fork` exists.  A fold of a few
+    long numpy calls per block, which release the GIL, does not fork: a
+    fork, its exit and its reaping take 2-5 ms in a process holding
+    1M x 20 rows (2 vCPUs)."""
 
     name = ""
     forks = False
